@@ -229,3 +229,59 @@ def test_diamond_from_text():
 def test_diamond_from_text_rejects_ragged_rows():
     with pytest.raises(ValueError):
         HodgeDiamond.from_text("1 0\n0")
+
+
+# -- oracles that share no code with the kernel ------------------------------------
+
+
+def _symbolic_manifold(n):
+    """The n-fold whose Chern entries are the generators c1..cn of one context."""
+    names = tuple(f"c{i}" for i in range(1, n + 1))
+    return ManifoldModel(ChernVector(MultivariatePolynomial.generators(names)))
+
+
+def _assert_serre_symmetric(chi):
+    n = chi.n
+    sign = -1 if n % 2 else 1
+    for p in range(n + 1):
+        assert chi.chi_p[p] == sign * chi.chi_p[n - p], (n, p)
+
+
+def test_serre_symmetry_on_random_rational_vectors():
+    # chi_p = (-1)^n chi_{n-p} holds formally, for any rational Chern data
+    rng = random.Random(23)
+    for n in range(2, 9):
+        for _ in range(20):
+            c = ChernVector(
+                [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(n)]
+            )
+            _assert_serre_symmetric(chi_y_from_chern(ManifoldModel(c)))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_serre_symmetry_symbolic(n):
+    _assert_serre_symmetric(chi_y_from_chern(_symbolic_manifold(n)))
+
+
+def _locality_excess(coefficient, n):
+    """Largest sum of the non-largest parts over the monomials of ``coefficient``,
+    each monomial read as a partition of n with c_i giving parts of size i."""
+    worst = 0
+    for exps in coefficient.terms:
+        parts = [i for i, e in enumerate(exps, start=1) for _ in range(e)]
+        assert sum(parts) == n, (n, exps)
+        worst = max(worst, n - max(parts))
+    return worst
+
+
+def test_libgober_wood_locality_symbolic():
+    # a_{2k} and a_{2k+1} only involve Chern numbers whose parts other than
+    # the largest sum to at most max(0, 2k - 1); the bound is attained.
+    worst = [0] * 8
+    for n in range(2, 8):
+        coefficients = expand_at_minus_one(chi_y_from_chern(_symbolic_manifold(n))).coefficients
+        for j, a in enumerate(coefficients):
+            excess = _locality_excess(a, n)
+            assert excess <= max(0, 2 * (j // 2) - 1), (n, j, str(a))
+            worst[j] = max(worst[j], excess)
+    assert worst == [0, 0, 1, 1, 3, 3, 5, 5]

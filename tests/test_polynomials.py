@@ -190,3 +190,75 @@ def test_json_terms_round_trip(p):
     data = p.to_json_terms()
     back = MultivariatePolynomial.from_json_terms(VARS, data)
     assert back == p
+
+
+# -- sympy as an independent oracle -------------------------------------------
+#
+# The oracle is sympy's sparse polynomial ring over QQ, the sparse counterpart
+# of sympy.Poly, whose dense representation is too slow at degree 300.
+
+SYMS = ("x", "y", "z")
+wide_exponents = st.one_of(st.integers(0, 3), st.integers(256, 300))
+wide_polys = st.dictionaries(
+    st.tuples(*(wide_exponents for _ in SYMS)), coeffs, max_size=4
+).map(lambda terms: MultivariatePolynomial(SYMS, terms))
+# substitution values stay small so that x^300 -> value^300 stays cheap
+small_values = st.one_of(
+    coeffs,
+    st.dictionaries(st.tuples(*(st.integers(0, 2) for _ in SYMS)), coeffs, max_size=2).map(
+        lambda terms: MultivariatePolynomial(SYMS, terms)
+    ),
+)
+rational_points = st.fixed_dictionaries(
+    {name: st.fractions(min_value=-3, max_value=3, max_denominator=4) for name in SYMS}
+)
+
+
+def _oracle_ring():
+    sympy = pytest.importorskip("sympy")
+    ring, *gens = sympy.ring(",".join(SYMS), sympy.QQ)
+    qq = lambda value: sympy.QQ(value.numerator, value.denominator)  # noqa: E731
+
+    def convert(p):
+        if not isinstance(p, MultivariatePolynomial):
+            return ring(qq(Fraction(p)))
+        return ring.from_dict({e: qq(c) for e, c in p.terms.items()})
+
+    return dict(zip(SYMS, gens)), qq, convert
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_polys, wide_polys, st.integers(0, 3))
+def test_arithmetic_agrees_with_sympy(a, b, k):
+    _, _, S = _oracle_ring()
+    assert S(a + b) == S(a) + S(b)
+    assert S(a - b) == S(a) - S(b)
+    assert S(a * b) == S(a) * S(b)
+    # sympy refuses 0**0; the kernel's convention is that it is 1
+    assert S(a**k) == (S(a) ** k if a or k else S(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_polys, st.sampled_from(SYMS), small_values, rational_points)
+def test_substitute_evaluate_and_coefficients_agree_with_sympy(p, name, value, point):
+    gens, qq, S = _oracle_ring()
+    assert S(p.substitute({name: value})) == S(p).compose(gens[name], S(value))
+
+    value_at = S(p).evaluate([(gens[v], qq(q)) for v, q in point.items()])
+    assert p.evaluate(point) == Fraction(int(value_at.numerator), int(value_at.denominator))
+
+    by_power = p.univariate_coefficients(name)
+    assert len(by_power) == max(S(p).degree(gens[name]), 0) + 1
+    for d, coefficient in enumerate(by_power):
+        assert name not in coefficient.used_variables()
+        assert S(coefficient) == S(p).coeff_wrt(gens[name], d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_polys, wide_polys, wide_polys)
+def test_equal_values_from_different_routes_compare_equal(a, b, c):
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * (a - b) == a * a - b * b
+    assert (a - b) / 3 == Fraction(1, 3) * a - b * Fraction(1, 3)
+    assert (a - a).terms == {}
+    assert not (a - a)

@@ -21,11 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .series import TruncatedSeries, bernoulli
-
-
-def _coerce_scalar(value):
-    return Fraction(value) if isinstance(value, int) else value
+from .series import TruncatedSeries, _coerce_scalar, bernoulli
 
 
 class ChernVector:

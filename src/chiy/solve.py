@@ -144,15 +144,14 @@ class ReducedSystem:
 
 def _linear_parts(poly: MultivariatePolynomial):
     """Constant and per-variable coefficients of an affine polynomial."""
+    den = poly.denominator
     constant = Fraction(0)
     coeffs: dict[str, Fraction] = {}
-    for exps, coeff in poly.terms.items():
-        total = sum(exps)
-        if total == 0:
-            constant = coeff
+    for num, exps in poly.integer_terms():
+        if not any(exps):
+            constant = Fraction(num, den)
         else:
-            idx = next(i for i, e in enumerate(exps) if e)
-            coeffs[poly.variables[idx]] = coeff
+            coeffs[poly.variables[exps.index(1)]] = Fraction(num, den)
     return constant, coeffs
 
 
@@ -344,20 +343,18 @@ def univariate_integer_roots(poly: MultivariatePolynomial) -> RootAnalysis:
             None, (), (1,), 1 / value, {"type": "nonzero_constant", "value": _fr_str(value)}
         )
     variable = next(iter(used))
-    raw = [c.constant_value() for c in poly.univariate_coefficients(variable)]
-    while raw and raw[-1] == 0:
-        raw.pop()
-    lcm = 1
-    for c in raw:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in raw]
+    idx = poly.variables.index(variable)
+    # the numerators over the shared denominator are the cleared coefficients
+    ints = [0] * (poly.degree_in(variable) + 1)
+    for num, exps in poly.integer_terms():
+        ints[exps[idx]] = num
     content = 0
     for c in ints:
         content = math.gcd(content, c)
     if ints[-1] < 0:
         content = -content
     ints = [c // content for c in ints]
-    scale = Fraction(lcm, content)
+    scale = Fraction(poly.denominator, content)
 
     zero_mult = 0
     core = list(ints)
@@ -415,13 +412,6 @@ def univariate_integer_roots(poly: MultivariatePolynomial) -> RootAnalysis:
 class EnumerationOutcome:
     assignments: tuple[dict, ...]
     visited: int
-
-
-def _integer_terms(poly: MultivariatePolynomial) -> list[tuple[int, tuple[int, ...]]]:
-    lcm = 1
-    for coeff in poly.terms.values():
-        lcm = lcm * coeff.denominator // math.gcd(lcm, coeff.denominator)
-    return [(int(c * lcm), exps) for exps, c in poly.sorted_terms()]
 
 
 def _compile_terms(terms, arg_names: Sequence[str], variables: Sequence[str], modulus=None):
@@ -549,7 +539,7 @@ def _enumerate_chunk(system, bounds, moduli, solved):
     driver_ranges = [range(bounds[v][0], bounds[v][1] + 1) for v in drivers]
     position = {name: i for i, name in enumerate(variables)}
 
-    integer_forms = [_integer_terms(p) for p in polys]
+    integer_forms = [p.integer_terms() for p in polys]
     full_checks = [
         _compile_terms(terms, variables, variables) for terms in integer_forms
     ]
@@ -581,12 +571,12 @@ def _enumerate_chunk(system, bounds, moduli, solved):
         d = poly.degree_in(solved)
         if d == 0:
             driver_filters.append(
-                _compile_terms(_integer_terms(poly), drivers, variables)
+                _compile_terms(poly.integer_terms(), drivers, variables)
             )
         else:
             # clear denominators once for the whole polynomial: scaling each
             # coefficient independently would corrupt the root structure
-            terms = _integer_terms(poly)
+            terms = poly.integer_terms()
             by_power: dict[int, list] = {}
             for coeff, exps in terms:
                 e = exps[position[solved]]

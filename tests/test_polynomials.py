@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chiy.polynomials import MultivariatePolynomial
+from chiy.polynomials import MAX_DEGREE, MultivariatePolynomial
 
 VARS = ("c2", "c3", "c4")
 
@@ -190,6 +190,46 @@ def test_json_terms_round_trip(p):
     data = p.to_json_terms()
     back = MultivariatePolynomial.from_json_terms(VARS, data)
     assert back == p
+
+
+# -- packed exponent fields ---------------------------------------------------
+
+
+def test_power_at_the_degree_limit_is_exact():
+    c4 = gen("c4")  # the lowest field: a carry would land in c3
+    p = c4**MAX_DEGREE
+    assert p.terms == {(0, 0, MAX_DEGREE): 1}
+    assert p.used_variables() == {"c4"}
+    assert p.total_degree() == MAX_DEGREE
+    with pytest.raises(OverflowError, match="exceeds the packed exponent limit"):
+        c4 ** (MAX_DEGREE + 1)
+    with pytest.raises(OverflowError):
+        p * c4
+
+
+def test_product_past_the_degree_limit_raises():
+    half = MAX_DEGREE // 2 + 1
+    a = gen("c3") ** half + 1
+    b = gen("c4") ** (MAX_DEGREE - half) - 2
+    exact = a * b  # total degree exactly MAX_DEGREE
+    assert exact.terms == {
+        (0, half, MAX_DEGREE - half): 1,
+        (0, half, 0): -2,
+        (0, 0, MAX_DEGREE - half): 1,
+        (0, 0, 0): -2,
+    }
+    with pytest.raises(OverflowError):
+        a * (b * gen("c2"))
+    with pytest.raises(OverflowError):
+        a * a
+    assert a.substitute({"c2": gen("c3") ** half}) == a  # c2 does not occur
+    with pytest.raises(OverflowError):
+        (a * gen("c2")).substitute({"c2": gen("c3") ** half})
+
+
+def test_constructor_rejects_degrees_past_the_limit():
+    with pytest.raises(OverflowError):
+        MultivariatePolynomial(VARS, {(MAX_DEGREE, 1, 0): 1})
 
 
 # -- sympy as an independent oracle -------------------------------------------

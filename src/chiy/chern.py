@@ -4,7 +4,8 @@ The ambient ring is Z[x]/(x^{n+1}) with x of degree one, so every cohomology
 class is determined by the n+1 scalars multiplying 1, x, ..., x^n.  A
 ``ChernVector`` holds the scalars of c_1, ..., c_n of the tangent bundle; a
 ``ManifoldModel`` fixes on top of that the normalization x^n[M] = 1 used by
-:func:`integrate`.
+:func:`integrate`.  A graded class is a ``TruncatedSeries`` of order n whose
+coefficient k is the scalar multiplying x^k.
 
 Newton's identities convert between Chern entries (elementary symmetric
 functions of the formal roots) and power sums.  From power sums one obtains
@@ -72,26 +73,6 @@ class ManifoldModel:
         return self.chern.n
 
 
-class GradedClass(TruncatedSeries):
-    """A cohomology class on an n-fold, graded by powers of x.
-
-    This is a truncated series whose order equals the manifold dimension;
-    component k is the scalar multiplying x^k.
-    """
-
-    @property
-    def n(self) -> int:
-        return self.order
-
-    @property
-    def components(self):
-        return self.coefficients
-
-    @classmethod
-    def from_components(cls, n: int, components) -> "GradedClass":
-        return cls(n, components)
-
-
 def chern_to_power_sums(c: ChernVector) -> list:
     """Power sums p_1, ..., p_n of the formal roots via Newton's identities:
     p_k = c_1 p_{k-1} - c_2 p_{k-2} + ... + (-1)^{k-1} k c_k."""
@@ -109,7 +90,7 @@ def power_sums_to_elementary(power_sums, rank: int) -> list:
     """Elementary symmetric functions e_1, ..., e_rank from power sums, via
     k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} p_i with e_0 = 1.
 
-    The entries may be scalars or ``GradedClass`` values; they only need ring
+    The entries may be scalars or graded classes; they only need ring
     arithmetic and division by an integer.
     """
     if rank < 0:
@@ -128,7 +109,7 @@ def power_sums_to_elementary(power_sums, rank: int) -> list:
     return e
 
 
-def exp_alphabet_power_sums(c: ChernVector, t, rank: int) -> list[GradedClass]:
+def exp_alphabet_power_sums(c: ChernVector, t, rank: int) -> list[TruncatedSeries]:
     """Power sums P_1, ..., P_rank of the alphabet {exp(t * root)}.
 
     P_k = sum_i exp(t k root_i) = sum_m (t k)^m p_m x^m / m!, where p_0 equals
@@ -144,7 +125,7 @@ def exp_alphabet_power_sums(c: ChernVector, t, rank: int) -> list[GradedClass]:
         components = [Fraction(rank)]
         for m in range(1, c.n + 1):
             components.append((t * k) ** m / math.factorial(m) * p[m - 1])
-        out.append(GradedClass(c.n, components))
+        out.append(TruncatedSeries(c.n, components))
     return out
 
 
@@ -159,22 +140,22 @@ def _todd_log_coefficients(order: int) -> tuple[Fraction, ...]:
     return q.log().coefficients
 
 
-def todd_class(c: ChernVector) -> GradedClass:
+def todd_class(c: ChernVector) -> TruncatedSeries:
     """Todd class of the bundle with Chern vector ``c``, as a graded class."""
     t = _todd_log_coefficients(c.n)
     p = chern_to_power_sums(c)
     components = [Fraction(0)]
     for m in range(1, c.n + 1):
         components.append(t[m] * p[m - 1])
-    return GradedClass(c.n, components).exp()
+    return TruncatedSeries(c.n, components).exp()
 
 
-def integrate(m: ManifoldModel, g: GradedClass):
+def integrate(m: ManifoldModel, g: TruncatedSeries):
     """Pair a graded class against the fundamental class: pick out the scalar
     of x^n under the normalization x^n[M] = 1."""
     if g.order != m.n:
         raise ValueError(f"class of order {g.order} on an n = {m.n} manifold")
-    return g.components[m.n]
+    return g.coefficients[m.n]
 
 
 def projective_space_chern(n: int) -> ChernVector:

@@ -18,7 +18,6 @@ from typing import Optional, Sequence
 from .chern import ChernVector, ManifoldModel, projective_space, todd_class, integrate
 from .fujita import (
     Branch,
-    Mode,
     dichotomy_roots,
     forced_values,
     generate_system,
@@ -38,6 +37,7 @@ from .solve import (
     SolverConfig,
     SoundnessError,
     VERDICT_INCONCLUSIVE,
+    _fr_str,
     classify,
     linear_reduce,
 )
@@ -54,12 +54,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _fr_str(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def _emit(text: str, output: Optional[str]):
@@ -84,9 +78,6 @@ def _cmd_pn_verify(args) -> int:
     for n in range(1, args.max_n + 1):
         m = projective_space(n)
         chi = chi_y_from_chern(m)
-        if args.corrupt_row == n:
-            bumped = (chi.chi_p[0] + 1,) + chi.chi_p[1:]
-            chi = ChiYPolynomial(bumped)
         reference = chi_y_from_hodge(HodgeDiamond.projective_space(n))
         expansion = expand_at_minus_one(chi)
         checks = [
@@ -196,7 +187,7 @@ def _cmd_genus(args) -> int:
 
 
 def _cmd_system(args) -> int:
-    system = generate_system(args.n, Branch(args.branch), Mode(args.mode))
+    system = generate_system(args.n, Branch(args.branch))
     if Branch(args.branch) is Branch.STANDARD:
         # the binomial vector must satisfy its own system; refuse to emit junk
         binomial = {
@@ -244,7 +235,7 @@ def _cmd_classify(args) -> int:
         workers=args.workers,
         max_scan=args.max_scan,
     )
-    report = classify(args.n, Branch(args.branch), Mode(args.mode), config)
+    report = classify(args.n, Branch(args.branch), config)
     # timing goes to stderr so stdout stays byte-for-byte reproducible
     print(f"elapsed: {report.elapsed_ms:.1f} ms", file=sys.stderr)
     _emit(
@@ -329,18 +320,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "the induced (M, D) constraint systems."
         ),
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="accepted for interface compatibility; all computations are exact "
-        "and deterministic, so it has no effect",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pn-verify", help="self-check the pipeline on projective spaces")
     p.add_argument("--max-n", type=int, default=12)
-    p.add_argument("--corrupt-row", type=int, default=None, help=argparse.SUPPRESS)
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_pn_verify)
 
@@ -355,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("system", help="emit the (M, D) constraint system as JSON")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--branch", choices=[b.value for b in Branch], required=True)
-    p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.AK.value)
     p.add_argument("--reduced", action="store_true", help="also run linear reduction")
     p.add_argument("--output")
     p.set_defaults(handler=_cmd_system)
@@ -363,7 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="decide integer solvability of an (M, D) system")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--branch", choices=[b.value for b in Branch], required=True)
-    p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.AK.value)
     p.add_argument("--bound-scale", type=int, default=16)
     p.add_argument("--bounds", help="override search box, e.g. c2=-100:100,c3=0:50")
     p.add_argument("--moduli", default="2,3,5,7,11", help="sieve moduli (comma separated)")

@@ -14,12 +14,12 @@ class w_2 = c_1 mod 2 is a homotopy invariant, so the half branch survives
 only when (n+1)/2 and n+1 agree mod 2, i.e. n = 3 mod 4.
 
 :func:`generate_system` turns all of this into an explicit polynomial system
-in the unknown middle Chern entries c_2, ..., c_{n-1}: every coefficient of
-the (y+1)-expansion of chi_y that the dimension allows is equated with its
-projective-space value, on M and on D, together with the Euler constraint on
-D and the alternating-sum identity sum_k (-1)^k c_k(M) = (-1)^n that holds
-because M \\ D is contractible enough to carry a vanishing-Euler vector-field
-argument.  Whether the resulting Diophantine system has integer solutions is
+in the unknown middle Chern entries c_2, ..., c_{n-1}: every even coefficient
+A_k = a_{2k} of the (y+1)-expansion of chi_y that the dimension allows is
+equated with its projective-space value, on M and on D, together with the
+Euler constraint on D and the alternating-sum identity
+sum_k (-1)^k c_k(M) = (-1)^n that holds because M \\ D is contractible enough
+to carry a vanishing-Euler vector-field argument.  Whether the resulting Diophantine system has integer solutions is
 the business of :mod:`chiy.solve`; this module only builds it.
 """
 
@@ -56,14 +56,6 @@ class Branch(enum.Enum):
 
     def valid_for(self, n: int) -> bool:
         return self is Branch.STANDARD or n % 2 == 1
-
-
-class Mode(enum.Enum):
-    """Which expansion coefficients become equations: the even A_k only, or
-    every coefficient of the (y+1)-expansion."""
-
-    AK = "ak"
-    FULL = "full"
 
 
 def adjunction_chern(c_m: ChernVector) -> ChernVector:
@@ -198,15 +190,14 @@ class Equation:
 class EquationSystem:
     """A polynomial system over the unknown Chern entries.
 
-    ``n``, ``branch`` and ``mode`` are echoes of the generating call and stay
-    ``None`` for hand-built systems.
+    ``n`` and ``branch`` are echoes of the generating call and stay ``None``
+    for hand-built systems.
     """
 
     variables: tuple[str, ...]
     equations: tuple[Equation, ...]
     n: Optional[int] = None
     branch: Optional[Branch] = None
-    mode: Optional[Mode] = None
 
     def residuals(self, assignment) -> list[Fraction]:
         return [eq.polynomial.evaluate(assignment) for eq in self.equations]
@@ -218,7 +209,6 @@ class EquationSystem:
         return {
             "n": self.n,
             "branch": self.branch.value if self.branch else None,
-            "mode": self.mode.value if self.mode else None,
             "variables": list(self.variables),
             "equations": [
                 {
@@ -240,8 +230,7 @@ class EquationSystem:
             for item in data["equations"]
         )
         branch = Branch(data["branch"]) if data.get("branch") else None
-        mode = Mode(data["mode"]) if data.get("mode") else None
-        return cls(variables, equations, data.get("n"), branch, mode)
+        return cls(variables, equations, data.get("n"), branch)
 
 
 #: JSON shape of a single monomial, matching
@@ -262,11 +251,10 @@ SYSTEM_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "title": "polynomial equation system",
     "type": "object",
-    "required": ["n", "branch", "mode", "variables", "equations"],
+    "required": ["n", "branch", "variables", "equations"],
     "properties": {
         "n": {"type": ["integer", "null"], "minimum": 1},
         "branch": {"enum": [b.value for b in Branch] + [None]},
-        "mode": {"enum": [m.value for m in Mode] + [None]},
         "variables": {"type": "array", "items": {"type": "string"}},
         "equations": {
             "type": "array",
@@ -316,7 +304,7 @@ def _projective_expansion(n: int) -> tuple:
     return expand_at_minus_one(chi).coefficients
 
 
-def generate_system(n: int, branch: Branch, mode: Mode = Mode.AK) -> EquationSystem:
+def generate_system(n: int, branch: Branch) -> EquationSystem:
     """Build the Diophantine system for the pair (M, D) on the given branch.
 
     Equations, in a fixed (k, manifold) order:
@@ -324,10 +312,12 @@ def generate_system(n: int, branch: Branch, mode: Mode = Mode.AK) -> EquationSys
     * ``A_0(D)``: the Euler number of D equals n (A_0(M) is consumed when
       c_n(M) = n+1 is built into the unknown vector and would read 0 = 0);
     * ``A_k(M)`` for 2k <= n and ``A_k(D)`` for 2k <= n-1, k >= 1;
-    * ``alternating_sum(M)``;
-    * in full mode additionally every odd coefficient ``a_j(M)``, ``a_j(D)``.
+    * ``alternating_sum(M)``.
 
-    Identically-zero equations are dropped with a log note.
+    The odd coefficients a_j are not equated: by Serre symmetry
+    chi_p = (-1)^n chi_{n-p} they lie in the rational span of the even ones,
+    so they would add equations but no constraint.  Identically-zero
+    equations are dropped with a log note.
     """
     chern_m, variables = unknown_chern_vector(n, branch)
     pair = PairModel.from_manifold(chern_m, branch)
@@ -359,20 +349,10 @@ def generate_system(n: int, branch: Branch, mode: Mode = Mode.AK) -> EquationSys
     alt = alt - (1 if n % 2 == 0 else -1)
     candidates.append(("alternating_sum(M)", _as_polynomial(alt, variables)))
 
-    if mode is Mode.FULL:
-        for j in range(1, n + 1, 2):
-            candidates.append(
-                (f"a_{j}(M)", _as_polynomial(a_m[j], variables) - target_m[j])
-            )
-        for j in range(1, n, 2):
-            candidates.append(
-                (f"a_{j}(D)", _as_polynomial(a_d[j], variables) - target_d[j])
-            )
-
     equations = []
     for provenance, poly in candidates:
         if not poly:
             log.info("dropping identically zero equation %s", provenance)
             continue
         equations.append(Equation(provenance, poly))
-    return EquationSystem(tuple(variables), tuple(equations), n, branch, mode)
+    return EquationSystem(tuple(variables), tuple(equations), n, branch)

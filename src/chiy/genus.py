@@ -25,13 +25,13 @@ from pathlib import Path
 
 from .chern import (
     ChernVector,
-    GradedClass,
     ManifoldModel,
     exp_alphabet_power_sums,
     integrate,
     power_sums_to_elementary,
     todd_class,
 )
+from .series import TruncatedSeries
 
 
 @dataclass(frozen=True)
@@ -159,13 +159,13 @@ class HodgeDiamond:
         return cls.from_text(Path(path).read_text())
 
 
-def _omega_characters(m: ManifoldModel, up_to: int) -> list[GradedClass]:
+def _omega_characters(m: ManifoldModel, up_to: int) -> list[TruncatedSeries]:
     """Chern characters of Omega^0, ..., Omega^{up_to}: elementary symmetric
     functions of the alphabet {exp(-root)} of the tangent bundle."""
     n = m.n
     power = exp_alphabet_power_sums(m.chern, Fraction(-1), n)
     elementary = power_sums_to_elementary(power[:up_to] if up_to < n else power, up_to)
-    return [GradedClass.one(n)] + elementary
+    return [TruncatedSeries.one(n)] + elementary
 
 
 def chi_p_from_chern(m: ManifoldModel, p: int):
@@ -176,12 +176,12 @@ def chi_p_from_chern(m: ManifoldModel, p: int):
     return _pair_top(omega[p], todd_class(m.chern), m)
 
 
-def _pair_top(a: GradedClass, b: GradedClass, m: ManifoldModel):
+def _pair_top(a: TruncatedSeries, b: TruncatedSeries, m: ManifoldModel):
     # Only the x^n component of a*b is needed; avoid the full product.
     n = m.n
-    acc = a.components[0] * b.components[n]
+    acc = a.coefficients[0] * b.coefficients[n]
     for j in range(1, n + 1):
-        acc = acc + a.components[j] * b.components[n - j]
+        acc = acc + a.coefficients[j] * b.coefficients[n - j]
     return acc
 
 

@@ -173,6 +173,10 @@ class MultivariatePolynomial:
         object.__setattr__(obj, "_den", den if nums else 1)
         return obj
 
+    def __reduce__(self):
+        # the immutability guard blocks pickle's default slot restore
+        return (type(self)._raw, (self.variables, self._nums, self._den))
+
     @classmethod
     def _reduced(cls, variables, nums, den):
         """Build from nonzero numerators over ``den``, dividing out the content."""

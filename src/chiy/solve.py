@@ -37,7 +37,6 @@ from .fujita import (
     Branch,
     Equation,
     EquationSystem,
-    Mode,
     generate_system,
 )
 from .polynomials import MultivariatePolynomial
@@ -125,11 +124,7 @@ class ReducedSystem:
             for r in self.residual
         )
         return EquationSystem(
-            self.free_variables,
-            equations,
-            self.original.n,
-            self.original.branch,
-            self.original.mode,
+            self.free_variables, equations, self.original.n, self.original.branch
         )
 
     def extend(self, free_assignment) -> dict[str, Fraction]:
@@ -324,6 +319,32 @@ def _divisors(value: int) -> list[int]:
     return sorted(divisors)
 
 
+def _quadratic_integer_roots(c0: int, c1: int, c2: int):
+    """``(discriminant, roots)`` of c0 + c1 x + c2 x^2 with c2 != 0: the sorted
+    integer roots, or None when the discriminant is not a perfect square."""
+    disc = c1 * c1 - 4 * c2 * c0
+    if disc < 0:
+        return disc, None
+    s = math.isqrt(disc)
+    if s * s != disc:
+        return disc, None
+    return disc, sorted({num // (2 * c2) for num in (-c1 + s, -c1 - s) if num % (2 * c2) == 0})
+
+
+def _integer_zeros(coefficients, candidates) -> list[int]:
+    """The candidates at which the integer polynomial with the given
+    coefficients (lowest degree first) vanishes, by Horner evaluation."""
+    highest_first = coefficients[::-1]
+    zeros = []
+    for x in candidates:
+        acc = 0
+        for coeff in highest_first:
+            acc = acc * x + coeff
+        if acc == 0:
+            zeros.append(x)
+    return zeros
+
+
 def univariate_integer_roots(poly: MultivariatePolynomial) -> RootAnalysis:
     """All integer roots, with replay evidence.
 
@@ -376,31 +397,17 @@ def univariate_integer_roots(poly: MultivariatePolynomial) -> RootAnalysis:
         if b % a == 0:
             roots.add(-b // a)
     elif degree == 2:
-        c0, c1, c2 = core
-        disc = c1 * c1 - 4 * c2 * c0
+        disc, found = _quadratic_integer_roots(*core)
         evidence["type"] = "discriminant"
         evidence["discriminant"] = str(disc)
-        if disc >= 0:
-            s = math.isqrt(disc)
-            evidence["is_square"] = s * s == disc
-            if s * s == disc:
-                for numerator in (-c1 + s, -c1 - s):
-                    if numerator % (2 * c2) == 0:
-                        roots.add(numerator // (2 * c2))
-        else:
-            evidence["is_square"] = False
+        evidence["is_square"] = found is not None
+        roots.update(found or ())
     else:
         divisors = _divisors(core[0])
         evidence["type"] = "divisors"
         evidence["constant"] = str(core[0])
         evidence["divisors"] = [str(d) for d in divisors]
-        for d in divisors:
-            for candidate in (d, -d):
-                acc = 0
-                for coeff in reversed(core):
-                    acc = acc * candidate + coeff
-                if acc == 0:
-                    roots.add(candidate)
+        roots.update(_integer_zeros(core, [x for d in divisors for x in (d, -d)]))
     return RootAnalysis(variable, tuple(sorted(roots)), tuple(ints), scale, evidence)
 
 
@@ -435,20 +442,6 @@ def _compile_terms(terms, arg_names: Sequence[str], variables: Sequence[str], mo
     body = " + ".join(pieces) if pieces else "0"
     src = f"lambda {', '.join(arg_names)}: {body}" if arg_names else f"lambda: {body}"
     return eval(src, {"__builtins__": {}})  # noqa: S307 - generated from exact terms
-
-
-def _quadratic_integer_roots(c0: int, c1: int, c2: int) -> list[int]:
-    disc = c1 * c1 - 4 * c2 * c0
-    if disc < 0:
-        return []
-    s = math.isqrt(disc)
-    if s * s != disc:
-        return []
-    out = []
-    for numerator in (-c1 + s, -c1 - s):
-        if numerator % (2 * c2) == 0:
-            out.append(numerator // (2 * c2))
-    return sorted(set(out))
 
 
 def bounded_enumerate(
@@ -493,15 +486,22 @@ def bounded_enumerate(
         lo, hi = bounds[drivers[0]]
         width = hi - lo + 1
         chunk = -(-width // workers)
-        jobs = []
+        boxes = []
         for start in range(lo, hi + 1, chunk):
             sub_bounds = dict(bounds)
             sub_bounds[drivers[0]] = (start, min(start + chunk - 1, hi))
-            jobs.append((system.to_json_dict(), sub_bounds, tuple(moduli), solved))
-        results = []
+            boxes.append(sub_bounds)
+        jobs = len(boxes)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for outcome in pool.map(_enumerate_job, jobs):
-                results.append(outcome)
+            results = list(
+                pool.map(
+                    _enumerate_chunk,
+                    [system] * jobs,
+                    boxes,
+                    [tuple(moduli)] * jobs,
+                    [solved] * jobs,
+                )
+            )
         assignments = [a for sub, _ in results for a in sub]
         visited = sum(v for _, v in results)
     else:
@@ -524,12 +524,6 @@ def _choose_solved_variable(polys, bounds, variables) -> Optional[str]:
         if size >= best_size:  # ties go to the latest variable
             best, best_size = name, size
     return best
-
-
-def _enumerate_job(args):
-    system_json, bounds, moduli, solved = args
-    system = EquationSystem.from_json_dict(system_json)
-    return _enumerate_chunk(system, bounds, moduli, solved)
 
 
 def _enumerate_chunk(system, bounds, moduli, solved):
@@ -620,16 +614,10 @@ def _enumerate_chunk(system, bounds, moduli, solved):
                 candidates = [-b // a] if b % a == 0 else []
                 break
             if top == 2:
-                candidates = _quadratic_integer_roots(cs[0], cs[1], cs[2])
+                candidates = _quadratic_integer_roots(cs[0], cs[1], cs[2])[1] or ()
                 break
             # degree >= 3: scan the solved variable against this equation
-            candidates = []
-            for v in range(lo_s, hi_s + 1):
-                acc = 0
-                for coeff in reversed(cs[: top + 1]):
-                    acc = acc * v + coeff
-                if acc == 0:
-                    candidates.append(v)
+            candidates = _integer_zeros(cs[: top + 1], range(lo_s, hi_s + 1))
             break
         if candidates is None:
             candidates = range(lo_s, hi_s + 1)  # every equation vacuous here
@@ -684,7 +672,6 @@ class SearchReport:
     elapsed_ms: Optional[float] = None
     n: Optional[int] = None
     branch: Optional[str] = None
-    mode: Optional[str] = None
     substitutions: tuple[dict, ...] = ()
     notes: tuple[str, ...] = ()
 
@@ -692,7 +679,6 @@ class SearchReport:
         data = {
             "n": self.n,
             "branch": self.branch,
-            "mode": self.mode,
             "verdict": self.verdict,
             "variables": list(self.variables),
             "solutions": [
@@ -783,7 +769,6 @@ REPORT_SCHEMA = {
     "required": [
         "n",
         "branch",
-        "mode",
         "verdict",
         "variables",
         "solutions",
@@ -797,7 +782,6 @@ REPORT_SCHEMA = {
     "properties": {
         "n": {"type": ["integer", "null"]},
         "branch": {"enum": [b.value for b in Branch] + [None]},
-        "mode": {"enum": [m.value for m in Mode] + [None]},
         "verdict": {
             "enum": [VERDICT_SOLUTIONS, VERDICT_NO_SOLUTION, VERDICT_INCONCLUSIVE]
         },
@@ -868,6 +852,20 @@ def _substitutions_from_json(variables, records) -> list[Substitution]:
     return subs
 
 
+def _combine(system: EquationSystem, subs, combination, before_pass: int):
+    """sum mult * eq_index over the ``(index, mult)`` pairs of a recorded
+    combination, each equation taken after the substitutions of the passes
+    before ``before_pass``."""
+    acc = MultivariatePolynomial.zero(system.variables)
+    for index, mult in combination:
+        index = int(index)
+        if not 0 <= index < len(system.equations):
+            raise IndexError(f"equation index {index} out of range")
+        transformed = _transform(system.equations[index].polynomial, subs, before_pass)
+        acc = acc + _parse_fr(mult) * transformed
+    return acc
+
+
 def _check_root_evidence(coefficients: tuple[int, ...], evidence: dict) -> bool:
     """Re-establish that the primitive integer polynomial has no integer root."""
     core = list(coefficients)
@@ -887,29 +885,14 @@ def _check_root_evidence(coefficients: tuple[int, ...], evidence: dict) -> bool:
         b, a = core
         return kind == "linear" and b % a != 0
     if degree == 2:
-        c0, c1, c2 = core
-        disc = c1 * c1 - 4 * c2 * c0
-        if kind != "discriminant" or str(disc) != evidence.get("discriminant"):
-            return False
-        if disc < 0:
-            return True
-        s = math.isqrt(disc)
-        if s * s != disc:
-            return True
-        return all(numerator % (2 * c2) for numerator in (-c1 + s, -c1 - s))
+        disc, found = _quadratic_integer_roots(*core)
+        return kind == "discriminant" and str(disc) == evidence.get("discriminant") and not found
     if kind != "divisors":
         return False
     divisors = [int(d) for d in evidence.get("divisors", [])]
     if divisors != _divisors(core[0]):
         return False
-    for d in divisors:
-        for candidate in (d, -d):
-            acc = 0
-            for coeff in reversed(core):
-                acc = acc * candidate + coeff
-            if acc == 0:
-                return False
-    return True
+    return not _integer_zeros(core, [x for d in divisors for x in (d, -d)])
 
 
 def verify_certificate(system: EquationSystem, certificate: dict) -> bool:
@@ -933,36 +916,19 @@ def _verify_certificate(system: EquationSystem, certificate: dict) -> bool:
 
     # every recorded substitution must be the linear combination it claims
     for sub in subs:
-        acc = MultivariatePolynomial.zero(variables)
-        for index, mult in sub.combination:
-            if not 0 <= index < len(system.equations):
-                return False
-            transformed = _transform(
-                system.equations[index].polynomial, subs, sub.pass_index
-            )
-            acc = acc + mult * transformed
+        acc = _combine(system, subs, sub.combination, sub.pass_index)
         target = MultivariatePolynomial.variable(sub.variable, variables) - sub.expression
         if acc != target:
             return False
 
     kind = certificate.get("kind")
     if kind == "linear_inconsistency":
-        acc = MultivariatePolynomial.zero(variables)
-        for index, mult in certificate["combination"]:
-            transformed = _transform(
-                system.equations[int(index)].polynomial, subs, int(certificate["pass"])
-            )
-            acc = acc + _parse_fr(mult) * transformed
+        acc = _combine(system, subs, certificate["combination"], int(certificate["pass"]))
         constant = _parse_fr(certificate["constant"])
         return constant != 0 and acc == constant
 
     if kind == "nonintegral_value":
-        acc = MultivariatePolynomial.zero(variables)
-        for index, mult in certificate["combination"]:
-            transformed = _transform(
-                system.equations[int(index)].polynomial, subs, int(certificate["pass"])
-            )
-            acc = acc + _parse_fr(mult) * transformed
+        acc = _combine(system, subs, certificate["combination"], int(certificate["pass"]))
         value = _parse_fr(certificate["value"])
         target = (
             MultivariatePolynomial.variable(certificate["variable"], variables) - value
@@ -1060,7 +1026,6 @@ def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) 
             elapsed_ms=elapsed,
             n=system.n,
             branch=system.branch.value if system.branch else None,
-            mode=system.mode.value if system.mode else None,
             substitutions=trace,
             notes=report.notes,
         )
@@ -1253,12 +1218,9 @@ def _audit(system: EquationSystem, report: SearchReport):
 
 
 def classify(
-    n: int,
-    branch: Branch,
-    mode: Mode = Mode.AK,
-    config: Optional[SolverConfig] = None,
+    n: int, branch: Branch, config: Optional[SolverConfig] = None
 ) -> SearchReport:
     """Generate the (M, D) system for the given dimension and branch and
     decide its integer solvability within the configured budget."""
-    system = generate_system(n, branch, mode)
+    system = generate_system(n, branch)
     return solve_system(system, config)

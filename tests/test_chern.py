@@ -6,7 +6,6 @@ import pytest
 
 from chiy.chern import (
     ChernVector,
-    GradedClass,
     ManifoldModel,
     chern_to_power_sums,
     exp_alphabet_power_sums,
@@ -17,6 +16,7 @@ from chiy.chern import (
     todd_class,
 )
 from chiy.polynomials import MultivariatePolynomial
+from chiy.series import TruncatedSeries
 
 
 def test_chern_vector_basics():
@@ -78,9 +78,9 @@ def test_exp_alphabet_on_p1():
     # P_1 = sum of e^{-root} = 2 - 2x after truncation at order 1
     c = projective_space_chern(1)
     p = exp_alphabet_power_sums(c, t=Fraction(-1), rank=2)
-    assert p[0].components == (Fraction(2), Fraction(-2))
+    assert p[0].coefficients == (Fraction(2), Fraction(-2))
     # P_2 doubles the exponent: 2 - 4x
-    assert p[1].components == (Fraction(2), Fraction(-4))
+    assert p[1].coefficients == (Fraction(2), Fraction(-4))
 
 
 def test_exp_alphabet_rank_only_enters_degree_zero():
@@ -88,8 +88,8 @@ def test_exp_alphabet_rank_only_enters_degree_zero():
     a = exp_alphabet_power_sums(c, t=Fraction(-1), rank=3)
     b = exp_alphabet_power_sums(c, t=Fraction(-1), rank=5)
     for k in range(len(a)):
-        assert a[k].components[0] == 3 and b[k].components[0] == 5
-        assert a[k].components[1:] == b[k].components[1:]
+        assert a[k].coefficients[0] == 3 and b[k].coefficients[0] == 5
+        assert a[k].coefficients[1:] == b[k].coefficients[1:]
 
 
 # -- Todd classes -------------------------------------------------------------
@@ -97,10 +97,10 @@ def test_exp_alphabet_rank_only_enters_degree_zero():
 
 def test_todd_of_p1_and_p2():
     td1 = todd_class(projective_space_chern(1))
-    assert td1.components == (Fraction(1), Fraction(1))  # 1 + x
+    assert td1.coefficients == (Fraction(1), Fraction(1))  # 1 + x
 
     td2 = todd_class(projective_space_chern(2))
-    assert td2.components == (Fraction(1), Fraction(3, 2), Fraction(1))
+    assert td2.coefficients == (Fraction(1), Fraction(3, 2), Fraction(1))
 
 
 def test_universal_todd_polynomials():
@@ -109,10 +109,10 @@ def test_universal_todd_polynomials():
     variables = ("c1", "c2", "c3")
     c1, c2, c3 = MultivariatePolynomial.generators(variables)
     td = todd_class(ChernVector([c1, c2, c3]))
-    assert td.components[0] == 1
-    assert td.components[1] == c1 / 2
-    assert td.components[2] == (c1 * c1 + c2) / 12
-    assert td.components[3] == c1 * c2 / 24
+    assert td.coefficients[0] == 1
+    assert td.coefficients[1] == c1 / 2
+    assert td.coefficients[2] == (c1 * c1 + c2) / 12
+    assert td.coefficients[3] == c1 * c2 / 24
 
 
 def test_todd_integrates_to_one_on_projective_space():
@@ -140,7 +140,7 @@ def test_todd_specialization_commutes():
         numeric = todd_class(ChernVector(values))
         point = dict(zip(variables, values))
         for k in range(n + 1):
-            assert _at_point(symbolic.components[k], point) == numeric.components[k]
+            assert _at_point(symbolic.coefficients[k], point) == numeric.coefficients[k]
 
 
 def test_todd_degree_locality():
@@ -149,7 +149,7 @@ def test_todd_degree_locality():
     gens = MultivariatePolynomial.generators(variables)
     td = todd_class(ChernVector(list(gens)))
     for k in range(6):
-        component = td.components[k]
+        component = td.coefficients[k]
         used = set() if isinstance(component, Fraction) else component.used_variables()
         assert used <= {f"c{i}" for i in range(1, k + 1)}
 
@@ -158,21 +158,21 @@ def test_todd_degree_locality():
 
 
 def test_graded_class_multiplication_truncates():
-    g = GradedClass(2, [1, 2, 3])
-    h = GradedClass(2, [1, 1, 0])
-    assert (g * h).components == (1, 3, 5)
+    g = TruncatedSeries(2, [1, 2, 3])
+    h = TruncatedSeries(2, [1, 1, 0])
+    assert (g * h).coefficients == (1, 3, 5)
 
 
 def test_integrate_picks_top_component():
     m = projective_space(3)
-    g = GradedClass(3, [5, 0, 0, Fraction(7, 2)])
+    g = TruncatedSeries(3, [5, 0, 0, Fraction(7, 2)])
     assert integrate(m, g) == Fraction(7, 2)
 
 
 def test_integrate_order_mismatch():
     m = projective_space(3)
     with pytest.raises(ValueError):
-        integrate(m, GradedClass(2, [1, 0, 0]))
+        integrate(m, TruncatedSeries(2, [1, 0, 0]))
 
 
 def test_manifold_model_dimension():

@@ -9,6 +9,7 @@ import json
 import jsonschema
 import pytest
 
+import chiy.cli
 from chiy.cli import (
     EXIT_FAILED,
     EXIT_INCONCLUSIVE,
@@ -18,6 +19,7 @@ from chiy.cli import (
 )
 from chiy.solve import REPORT_SCHEMA
 from chiy.fujita import SYSTEM_SCHEMA
+from chiy.genus import ChiYPolynomial, chi_y_from_chern
 
 P3_DIAMOND = "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
 
@@ -40,8 +42,15 @@ def test_pn_verify_passes(capsys):
     assert all(line.endswith("ok") for line in lines)
 
 
-def test_pn_verify_detects_corruption(capsys):
-    code, out, err = run(capsys, "pn-verify", "--max-n", "6", "--corrupt-row", "4")
+def test_pn_verify_detects_corruption(capsys, monkeypatch):
+    def corrupted(m):
+        chi = chi_y_from_chern(m)
+        if m.n != 4:
+            return chi
+        return ChiYPolynomial((chi.chi_p[0] + 1,) + chi.chi_p[1:])
+
+    monkeypatch.setattr(chiy.cli, "chi_y_from_chern", corrupted)
+    code, out, err = run(capsys, "pn-verify", "--max-n", "6")
     assert code == EXIT_FAILED
     assert "verification failed at n=4" in err
     assert "FAIL" in out
@@ -270,6 +279,12 @@ def test_table_text_aligns(capsys):
 
 def test_no_subcommand_is_usage_error(capsys):
     assert run(capsys, )[0] == EXIT_USAGE
+
+
+def test_removed_options_are_usage_errors(capsys):
+    assert run(capsys, "--seed", "1", "table")[0] == EXIT_USAGE
+    argv = ("system", "--n", "5", "--branch", "half", "--mode", "full")
+    assert run(capsys, *argv)[0] == EXIT_USAGE
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

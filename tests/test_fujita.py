@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from chiy.chern import ChernVector, ManifoldModel, projective_space, projective_
 from chiy.fujita import (
     Branch,
     EquationSystem,
-    Mode,
     PairModel,
     adjunction_chern,
     alternating_sum_check,
@@ -19,7 +19,7 @@ from chiy.fujita import (
     parity_admissible,
     unknown_chern_vector,
 )
-from chiy.genus import a1_closed_form
+from chiy.genus import a1_closed_form, chi_y_from_chern, expand_at_minus_one
 from chiy.polynomials import MultivariatePolynomial
 from chiy.solve import linear_reduce
 
@@ -187,7 +187,7 @@ def test_system_provenances_n5_half():
         "alternating_sum(M)",
     ]
     assert system.variables == ("c2", "c3", "c4")
-    assert system.n == 5 and system.branch is Branch.HALF and system.mode is Mode.AK
+    assert system.n == 5 and system.branch is Branch.HALF
 
 
 def test_n5_half_linear_consequences():
@@ -216,23 +216,39 @@ def test_binomial_satisfies_standard_systems():
         assert system.satisfied_by(binomial), f"failed at n={n}"
 
 
-def test_binomial_satisfies_full_mode_system():
-    system = generate_system(5, Branch.STANDARD, Mode.FULL)
-    binomial = {f"c{i}": Fraction(math.comb(6, i)) for i in range(2, 5)}
-    assert system.satisfied_by(binomial)
+def _rational_rank(polys) -> int:
+    """Rank over Q of the polynomials as vectors of monomial coefficients."""
+    monomials = sorted({e for p in polys for e in p.terms})
+    rows = [[p.terms.get(e, Fraction(0)) for e in monomials] for p in polys]
+    rank = 0
+    for col in range(len(monomials)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
-def test_full_mode_extends_ak_mode():
-    ak = generate_system(5, Branch.HALF, Mode.AK)
-    full = generate_system(5, Branch.HALF, Mode.FULL)
-    ak_names = [eq.provenance for eq in ak.equations]
-    full_names = [eq.provenance for eq in full.equations]
-    assert full_names[: len(ak_names)] == ak_names
-    extras = full_names[len(ak_names):]
-    assert extras and all(name.startswith("a_") for name in extras)
-    # odd a_j equations: a_1(M) is identically zero (c_n is pinned) and dropped
-    assert "a_1(M)" not in full_names
-    assert "a_1(D)" in full_names
+@pytest.mark.parametrize("branch", list(Branch))
+@pytest.mark.parametrize("n, rank", [(5, 4), (7, 6), (9, 8)])
+def test_odd_coefficients_lie_in_the_span_of_the_system(n, rank, branch):
+    # Serre symmetry chi_p = (-1)^n chi_{n-p} makes every odd a_j a rational
+    # combination of the even A_k, so equating the odd a_j adds no constraint
+    system = generate_system(n, branch)
+    chern_m, _ = unknown_chern_vector(n, branch)
+    odd = []
+    for c, dim in ((chern_m, n), (adjunction_chern(chern_m), n - 1)):
+        a = expand_at_minus_one(chi_y_from_chern(ManifoldModel(c))).coefficients
+        target = expand_at_minus_one(chi_y_from_chern(projective_space(dim))).coefficients
+        odd.extend(a[j] - target[j] for j in range(1, dim + 1, 2))
+    generated = [eq.polynomial for eq in system.equations]
+    assert _rational_rank(generated) == rank
+    assert _rational_rank(generated + odd) == rank
 
 
 def test_generated_a1_equation_matches_closed_form():
@@ -260,6 +276,20 @@ def test_system_json_round_trip():
     # and through an actual JSON string
     back2 = EquationSystem.from_json_dict(json.loads(json.dumps(data)))
     assert back2 == system
+    # stored systems from before the schema lost its "mode" key still load
+    assert EquationSystem.from_json_dict({**data, "mode": "ak"}) == system
+
+
+def test_pickle_round_trip():
+    x, y = MultivariatePolynomial.generators(("x", "y"))
+    values = [
+        MultivariatePolynomial.zero(("x", "y")),
+        MultivariatePolynomial.constant(-4, ("x", "y")),
+        Fraction(3, 7) * x * y - Fraction(5, 2) * y + Fraction(1, 6),
+        generate_system(7, Branch.HALF),
+    ]
+    for value in values:
+        assert pickle.loads(pickle.dumps(value)) == value
 
 
 def test_residuals_at_binomial_point():

@@ -2,11 +2,12 @@
 
 The digests are SHA-256 of the exact stdout of ``chiy system --n N --branch B``
 for n = 3..13 on every valid branch, and of ``chiy classify --n N --branch B``
-for n = 3, 5 on both branches, recorded before the integer-numerator
-polynomial kernel replaced the ``Fraction`` one.  A change that is meant to
-alter these reports regenerates the digests and says why; removing the
-``mode`` field from the system and report schemas (ROADMAP item 5) is such a
-change.
+for n = 3, 5 on both branches.  They were first recorded before the
+integer-numerator polynomial kernel replaced the ``Fraction`` one, and
+re-recorded when the ``mode`` key was removed from the system and report
+schemas: that removal deletes the ``"mode": "ak"`` lines and changes no other
+byte.  A change that is meant to alter these reports regenerates the digests
+and says why.
 """
 
 import contextlib
@@ -18,30 +19,30 @@ import pytest
 from chiy.cli import main
 
 SYSTEM_DIGESTS = {
-    (3, "standard"): "713a344896b65a6e255c229f53901ae929f7dfddb46954169fe79355d1a8ad13",
-    (3, "half"): "2aff6a52a784e44495d80cd8cb6a0e9964ed7029777d996cb6630ce028627367",
-    (4, "standard"): "70c6298480f3438ddd160178b99674b078168c4a712ac98d01123286fd9787fb",
-    (5, "standard"): "4da6d0cffc4dae0b92e8e1f37450fea90888f4afbbe8e69e9982df59355a0024",
-    (5, "half"): "3181433772f05e4d5c369a67693d5355b322f4aea28a95f83448be0ca127997e",
-    (6, "standard"): "8d3f696ef8daf85ed8ab944a3cf797e75c3c33cf91244b73da78e035cd16fb15",
-    (7, "standard"): "8a8113dd2cefa8b6251206d9a125529aece8608af17d60936ca4eeda1d9e0cd9",
-    (7, "half"): "696c0a7d7f71ad5b0a1028807826f432b2c3eadca5823420ed92b350fee7ea5b",
-    (8, "standard"): "46084af1839aa67f12aaf987eac95e3a7d27434c1b7c9a847b0d9673a069ec39",
-    (9, "standard"): "5970598921dbd0388c33848fff0ac0dcd08a0915b28cd7c2c7a79824d965c30e",
-    (9, "half"): "6aa44fa9e9bd6991d772c2db3574158b0bf24424b8221d5c3c8936ebbacc086c",
-    (10, "standard"): "7ffdff66aa98c84cde37ed90bca34a2fad270e2ff3387f765058fdf355159e95",
-    (11, "standard"): "0153a18b74069084e204ce421e9a1e1039276bcfea5f22949b68b3df4796f870",
-    (11, "half"): "ae0e5baba4502a72f5d02d28e853abc5088df4168442df1b1ed3b6b8dfe59552",
-    (12, "standard"): "734776cdeba9736e27b3e57ec9cfe5c995688529f53150ad04d01575b28eaedb",
-    (13, "standard"): "f3b5ce312d0af71a0b1e5382a7c26af12f68762c7f5d281027a30d688e45bfcf",
-    (13, "half"): "56bb9add5195e42058cab5f2ac969f454b842392d80fd59939ff3a7416e07699",
+    (3, "standard"): "d487d582ac71517905a3cc2738059c7c44d008d1e941453ca703b18c2d041c42",
+    (3, "half"): "d9eeb8d7960072857ba3ea4e7351e04ec49c63a5c89411a3353391d416f88fb2",
+    (4, "standard"): "62ba510c3cd23340ce699b6067cbb20bbb419bf6cf672e986624ba23bf9b5d17",
+    (5, "standard"): "e5fbbf09857f6569a6293fa2e0f528b2bbd3c114569900e0dd05ee87d6d5a6ed",
+    (5, "half"): "23d1c9e58852de4063a56f82034952402033e977722ce98af7938cd06bfce079",
+    (6, "standard"): "325fddadbdc53f691396b63ea2e7a7003fa0ee4797ec9ba49dd6bcfa511cb5b0",
+    (7, "standard"): "8d5df37ed4696713b90fc8bdfaf09f80c5562abbb25ce1ede025f23b4a343ec0",
+    (7, "half"): "46e50de9b6862c669036b9f116c7174b6454efc46dba873ca3ba69c84634c01b",
+    (8, "standard"): "4a2e57382af3edc0a7beaf3f23188c4d18311ea7f11f542a1a1ffaf654da73e9",
+    (9, "standard"): "68df50d7e6fd144ef93649803dfe157914f8ac01e35b33931c314cb836cf1676",
+    (9, "half"): "3a2c578cecc02fd5032cfe5eb9a51f25d2f7f2dc7658a4861b469de1c0829e5c",
+    (10, "standard"): "cd9617066573bd2950751f2ff398ba2813da7bc2c7d8e520a33dda664b4ba5dc",
+    (11, "standard"): "e525d62a79b7e2b18f326a1f23b25176adb093054fe9a964cd7cb1d298897ad6",
+    (11, "half"): "6b1bf2191859d796f875acb8e987a808a581ca0775a1ac7c6ba9015b08d06885",
+    (12, "standard"): "f1aa95dcef4f3f4a21076e590968f724a14eb0f2c27aa8e37544a406b1ed19d8",
+    (13, "standard"): "111637f3344aac1c0136f75b5441fe05d450281ff4f5c2d365e8afbb4a55fc1e",
+    (13, "half"): "d001ea3fb8846797201ace72fb18bec6c4358495aaffc1bcb2149303650b8de9",
 }
 
 CLASSIFY_DIGESTS = {
-    (3, "standard"): "f69fb57019b1caa9c0b271823e22083fdd2b569887fe7333248f6883690015fb",
-    (3, "half"): "79d6249a718047dade36ed4dc05f8e4714edecf195622d6b04d4a81bfcd6784f",
-    (5, "standard"): "f016d1c59bd8a8c617badb19b46a9e4a9204a2d11ca0f5fa93f85d1294aef3c5",
-    (5, "half"): "cd3506ef16755985df8fcb05cffa8769bd998d6931be4609570c614371459f1b",
+    (3, "standard"): "81010ccb45944975d7a2568cd324d70a5529bc49ed32cb0f1f8f551598d5f584",
+    (3, "half"): "8c1520365e0e10e18bd182be15e8a0f876168373c689b04928e40a11e0137764",
+    (5, "standard"): "e3f851ca3a020ce140f4baf3057bec811560a9877be204cd9255604a71aec68a",
+    (5, "half"): "b46ef66af1b3c2efbcd6eaade7e979d5b7c4b73b4d1e4e1d65a500b36c1f808e",
 }
 
 

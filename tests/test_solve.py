@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from chiy.fujita import Branch, Equation, EquationSystem, Mode, generate_system
+from chiy.fujita import Branch, Equation, EquationSystem, generate_system
 from chiy.polynomials import MultivariatePolynomial
 from chiy.solve import (
     EnumerationBudget,
@@ -148,6 +148,50 @@ def test_zero_root_multiplicity():
     analysis = univariate_integer_roots(X ** 3 - 4 * X)
     assert analysis.roots == (-2, 0, 2)
     assert analysis.evidence["zero_root_multiplicity"] == 1
+
+
+def _random_integer_polynomial(rng):
+    """Integer coefficients, lowest degree first, of degree 1..5: a product of
+    planted linear factors (x - r), zero included, and a random cofactor."""
+    degree = rng.randint(1, 5)
+    planted = [rng.randint(-3, 3) for _ in range(rng.randint(0, degree))]
+    coeffs = [rng.randint(-6, 6) for _ in range(degree - len(planted))]
+    coeffs.append(rng.choice([-3, -2, -1, 1, 2, 3]))
+    for r in planted:
+        shifted = [0] + coeffs
+        coeffs = [a - r * b for a, b in zip(shifted, coeffs + [0])]
+    return coeffs
+
+
+def test_integer_roots_match_brute_force_scan():
+    rng = random.Random(20261018)
+    root_free = 0
+    for _ in range(200):
+        ints = _random_integer_polynomial(rng)
+        scale = Fraction(rng.choice([-7, -3, -1, 1, 2, 5]), rng.randint(1, 9))
+        poly = MultivariatePolynomial(
+            ("x",), {(k,): scale * c for k, c in enumerate(ints) if c}
+        )
+        # every integer root other than 0 divides the lowest nonzero coefficient
+        bound = abs(next(c for c in ints if c))
+        expected = tuple(
+            r for r in range(-bound, bound + 1)
+            if sum(c * r**k for k, c in enumerate(ints)) == 0
+        )
+        assert univariate_integer_roots(poly).roots == expected, ints
+
+        system = system_of(poly, variables=("x",))
+        report = solve_system(system)
+        if expected:
+            assert report.verdict == VERDICT_SOLUTIONS
+            assert tuple(s["x"] for s in report.solutions) == expected
+            continue
+        root_free += 1
+        assert report.verdict == VERDICT_NO_SOLUTION
+        if len(ints) > 2:  # linear equations are settled by linear reduction
+            assert report.certificate["kind"] == "root_free"
+        assert verify_certificate(system, report.certificate)
+    assert root_free > 20
 
 
 def test_rejects_zero_and_multivariate():

@@ -231,7 +231,6 @@ def _cmd_classify(args) -> int:
     config = SolverConfig(
         bound_scale=args.bound_scale,
         bounds=_parse_bounds(args.bounds) if args.bounds else None,
-        moduli=tuple(int(p) for p in args.moduli.split(",")) if args.moduli else (),
         workers=args.workers,
         max_scan=args.max_scan,
     )
@@ -347,7 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch", choices=[b.value for b in Branch], required=True)
     p.add_argument("--bound-scale", type=int, default=16)
     p.add_argument("--bounds", help="override search box, e.g. c2=-100:100,c3=0:50")
-    p.add_argument("--moduli", default="2,3,5,7,11", help="sieve moduli (comma separated)")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--max-scan", type=int, default=50_000_000)
     p.add_argument(

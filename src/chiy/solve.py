@@ -28,7 +28,7 @@ import itertools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -135,6 +135,21 @@ class ReducedSystem:
         for sub in reversed(self.substitutions):
             values[sub.variable] = sub.expression.evaluate(values)
         return values
+
+    def integer_solutions(self, free_assignments) -> list[dict[str, int]]:
+        """The free assignments whose completion is integral and satisfies the
+        original system, completed and sorted by the original variables."""
+        solutions = []
+        for assignment in free_assignments:
+            full = self.extend(assignment)
+            if any(v.denominator != 1 for v in full.values()):
+                continue
+            candidate = {name: int(v) for name, v in full.items()}
+            if self.original.satisfied_by(candidate):
+                solutions.append(candidate)
+        variables = self.original.variables
+        solutions.sort(key=lambda a: tuple(a[v] for v in variables))
+        return solutions
 
 
 def _linear_parts(poly: MultivariatePolynomial):
@@ -421,16 +436,12 @@ class EnumerationOutcome:
     visited: int
 
 
-def _compile_terms(terms, arg_names: Sequence[str], variables: Sequence[str], modulus=None):
-    """Compile integer terms into a lambda over ``arg_names`` (a subset of the
-    polynomial's variables; the rest must not occur)."""
-    position = {name: i for i, name in enumerate(variables)}
+def _term_source(terms, arg_names: Sequence[str], position: dict) -> str:
+    """Python source of integer terms as a polynomial in ``arg_names`` (a
+    subset of the polynomial's variables; exponents of the others are
+    ignored)."""
     pieces = []
     for coeff, exps in terms:
-        if modulus is not None:
-            coeff %= modulus
-            if coeff == 0:
-                continue
         factors = [f"({coeff})"]
         for name in arg_names:
             e = exps[position[name]]
@@ -439,15 +450,17 @@ def _compile_terms(terms, arg_names: Sequence[str], variables: Sequence[str], mo
             elif e > 4:
                 factors.append(f"{name}**{e}")
         pieces.append("*".join(factors))
-    body = " + ".join(pieces) if pieces else "0"
-    src = f"lambda {', '.join(arg_names)}: {body}" if arg_names else f"lambda: {body}"
+    return f"({' + '.join(pieces) or '0'})"
+
+
+def _compile(body: str, arg_names: Sequence[str]):
+    src = f"lambda {', '.join(arg_names)}: {body}"
     return eval(src, {"__builtins__": {}})  # noqa: S307 - generated from exact terms
 
 
 def bounded_enumerate(
     system: EquationSystem,
     bounds: dict[str, tuple[int, int]],
-    moduli: Sequence[int] = (),
     workers: int = 1,
     max_scan: Optional[int] = None,
 ) -> EnumerationOutcome:
@@ -457,9 +470,7 @@ def bounded_enumerate(
     The box is the product of the per-variable bounds.  One variable may be
     solved exactly from an equation of degree <= 2 in it instead of being
     scanned (the result is filtered back to its bound, so the returned set is
-    exactly the satisfying points of the box either way).  Candidates are
-    pre-filtered by the residues modulo each modulus before the exact check;
-    the moduli change the running time, never the result.
+    exactly the satisfying points of the box either way).
     """
     variables = system.variables
     for name in variables:
@@ -494,18 +505,12 @@ def bounded_enumerate(
         jobs = len(boxes)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
-                pool.map(
-                    _enumerate_chunk,
-                    [system] * jobs,
-                    boxes,
-                    [tuple(moduli)] * jobs,
-                    [solved] * jobs,
-                )
+                pool.map(_enumerate_chunk, [system] * jobs, boxes, [solved] * jobs)
             )
         assignments = [a for sub, _ in results for a in sub]
         visited = sum(v for _, v in results)
     else:
-        assignments, visited = _enumerate_chunk(system, bounds, tuple(moduli), solved)
+        assignments, visited = _enumerate_chunk(system, bounds, solved)
 
     assignments.sort(key=lambda a: tuple(a[v] for v in variables))
     return EnumerationOutcome(tuple(assignments), visited)
@@ -526,81 +531,58 @@ def _choose_solved_variable(polys, bounds, variables) -> Optional[str]:
     return best
 
 
-def _enumerate_chunk(system, bounds, moduli, solved):
+def _enumerate_chunk(system, bounds, solved):
     variables = system.variables
     polys = [eq.polynomial for eq in system.equations if eq.polynomial]
-    drivers = [v for v in variables if v != solved]
-    driver_ranges = [range(bounds[v][0], bounds[v][1] + 1) for v in drivers]
     position = {name: i for i, name in enumerate(variables)}
-
-    integer_forms = [p.integer_terms() for p in polys]
-    full_checks = [
-        _compile_terms(terms, variables, variables) for terms in integer_forms
-    ]
-    sieves = []
-    for p in moduli:
-        for terms in integer_forms:
-            reduced = [(c % p, e) for c, e in terms if c % p]
-            if not reduced:
-                continue
-            sieves.append((p, _compile_terms(terms, variables, variables, modulus=p)))
+    # nonzero (truthy) exactly when some equation fails at the point
+    violated = _compile(
+        " or ".join(_term_source(p.integer_terms(), variables, position) for p in polys)
+        or "0",
+        variables,
+    )
+    found = []
+    visited = 0
 
     if solved is None:
         # plain scan over the whole box
         ranges = [range(bounds[v][0], bounds[v][1] + 1) for v in variables]
-        found = []
-        visited = 0
         for values in itertools.product(*ranges):
             visited += 1
-            if not _passes(values, sieves, full_checks, moduli):
-                continue
-            found.append({name: v for name, v in zip(variables, values)})
+            if not violated(*values):
+                found.append(dict(zip(variables, values)))
         return found, visited
 
+    drivers = [v for v in variables if v != solved]
     lo_s, hi_s = bounds[solved]
+    solved_pos = position[solved]
     # split equations by whether they constrain the solved variable
     driver_filters = []
-    solver_eqs = []  # (degree in solved, coefficient lambdas lowest first)
+    solver_eqs = []  # (degree in solved, lambda of its coefficients lowest first)
     for poly in polys:
         d = poly.degree_in(solved)
         if d == 0:
-            driver_filters.append(
-                _compile_terms(poly.integer_terms(), drivers, variables)
-            )
-        else:
-            # clear denominators once for the whole polynomial: scaling each
-            # coefficient independently would corrupt the root structure
-            terms = poly.integer_terms()
-            by_power: dict[int, list] = {}
-            for coeff, exps in terms:
-                e = exps[position[solved]]
-                stripped = tuple(
-                    0 if i == position[solved] else x for i, x in enumerate(exps)
-                )
-                by_power.setdefault(e, []).append((coeff, stripped))
-            lambdas = [
-                _compile_terms(by_power.get(e, []), drivers, variables)
-                for e in range(d + 1)
-            ]
-            solver_eqs.append((d, lambdas))
+            driver_filters.append(_term_source(poly.integer_terms(), drivers, position))
+            continue
+        # clear denominators once for the whole polynomial: scaling each
+        # coefficient independently would corrupt the root structure
+        by_power = [[] for _ in range(d + 1)]
+        for coeff, exps in poly.integer_terms():
+            by_power[exps[solved_pos]].append((coeff, exps))
+        coefficients = ", ".join(_term_source(t, drivers, position) for t in by_power)
+        solver_eqs.append((d, _compile(f"({coefficients},)", drivers)))
     solver_eqs.sort(key=lambda item: item[0])
+    driver_violated = _compile(" or ".join(driver_filters) or "0", drivers)
 
-    found = []
-    visited = 0
-    solved_pos = position[solved]
+    driver_ranges = [range(bounds[v][0], bounds[v][1] + 1) for v in drivers]
     driver_pos = [position[v] for v in drivers]
     args = [0] * len(variables)
     for values in itertools.product(*driver_ranges):
-        ok = True
-        for f in driver_filters:
-            if f(*values):
-                ok = False
-                break
-        if not ok:
+        if driver_violated(*values):
             continue
         candidates = None
-        for d, lambdas in solver_eqs:
-            cs = [f(*values) for f in lambdas]
+        for d, coefficients in solver_eqs:
+            cs = coefficients(*values)
             top = len(cs) - 1
             while top >= 0 and cs[top] == 0:
                 top -= 1
@@ -628,21 +610,9 @@ def _enumerate_chunk(system, bounds, moduli, solved):
             for value, pos in zip(values, driver_pos):
                 args[pos] = value
             args[solved_pos] = v
-            if not _passes(tuple(args), sieves, full_checks, moduli):
-                continue
-            found.append({name: val for name, val in zip(variables, args)})
+            if not violated(*args):
+                found.append(dict(zip(variables, args)))
     return found, visited
-
-
-def _passes(values, sieves, full_checks, moduli) -> bool:
-    for p, f in sieves:
-        reduced = tuple(v % p for v in values)
-        if f(*reduced) % p:
-            return False
-    for f in full_checks:
-        if f(*values):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +625,6 @@ class SolverConfig:
 
     bound_scale: int = 16
     bounds: Optional[dict[str, tuple[int, int]]] = None
-    moduli: tuple[int, ...] = (2, 3, 5, 7, 11)
     workers: int = 1
     max_scan: int = 50_000_000
 
@@ -667,7 +636,6 @@ class SearchReport:
     solutions: tuple[dict, ...] = ()
     certificate: Optional[dict] = None
     bounds: Optional[dict] = None
-    moduli: tuple[int, ...] = ()
     visited: int = 0
     elapsed_ms: Optional[float] = None
     n: Optional[int] = None
@@ -689,7 +657,6 @@ class SearchReport:
             "bounds": None
             if self.bounds is None
             else {name: [str(lo), str(hi)] for name, (lo, hi) in self.bounds.items()},
-            "moduli": list(self.moduli),
             "visited": str(self.visited),
             "substitutions": list(self.substitutions),
             "notes": list(self.notes),
@@ -774,7 +741,6 @@ REPORT_SCHEMA = {
         "solutions",
         "certificate",
         "bounds",
-        "moduli",
         "visited",
         "substitutions",
         "notes",
@@ -805,7 +771,6 @@ REPORT_SCHEMA = {
                 },
             ]
         },
-        "moduli": {"type": "array", "items": {"type": "integer", "minimum": 2}},
         "visited": {"type": "string", "pattern": "^[0-9]+$"},
         # readable elimination trace; replayable records live in the certificate
         "substitutions": {
@@ -971,16 +936,14 @@ def _verify_certificate(system: EquationSystem, certificate: dict) -> bool:
             if tuple(int(r) for r in item["roots"]) != analysis.roots:
                 return False
             candidate_sets.append(set(analysis.roots))
-        candidates = sorted(set.intersection(*candidate_sets)) if candidate_sets else []
+        if not candidate_sets:
+            return False  # an exhaustion over no equations would certify anything
+        candidates = sorted(set.intersection(*candidate_sets))
         if [int(c) for c in certificate["candidates"]] != candidates:
             return False
         # none of the surviving candidates may extend to an integer solution
         reduced = ReducedSystem(system, tuple(subs), (), (variable,), None)
-        for value in candidates:
-            full = reduced.extend({variable: value})
-            if all(v.denominator == 1 for v in full.values()) and system.satisfied_by(full):
-                return False
-        return True
+        return not reduced.integer_solutions({variable: c} for c in candidates)
 
     return False
 
@@ -1001,6 +964,9 @@ def _default_bounds(system: EquationSystem, names, scale: int) -> dict:
 def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) -> SearchReport:
     """Reduce, then decide: certificate, exact roots, or bounded search."""
     config = config or SolverConfig()
+    unknown = sorted(set(config.bounds or ()) - set(system.variables))
+    if unknown:
+        raise ValueError(f"bounds given for unknown variables: {', '.join(unknown)}")
     start = time.perf_counter()
     reduced = linear_reduce(system)
     trace = tuple(
@@ -1014,20 +980,12 @@ def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) 
 
     def finish(report: SearchReport) -> SearchReport:
         _audit(system, report)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return SearchReport(
-            verdict=report.verdict,
-            variables=system.variables,
-            solutions=report.solutions,
-            certificate=report.certificate,
-            bounds=report.bounds,
-            moduli=tuple(config.moduli),
-            visited=report.visited,
-            elapsed_ms=elapsed,
+        return replace(
+            report,
+            elapsed_ms=(time.perf_counter() - start) * 1000.0,
             n=system.n,
             branch=system.branch.value if system.branch else None,
             substitutions=trace,
-            notes=report.notes,
         )
 
     if reduced.inconsistency is not None:
@@ -1076,7 +1034,19 @@ def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) 
                     ),
                 )
             )
+        # the only point; _audit re-substitutes it, so check integrality only
         point = reduced.extend({})
+        if any(v.denominator != 1 for v in point.values()):
+            return finish(
+                SearchReport(
+                    VERDICT_INCONCLUSIVE,
+                    system.variables,
+                    notes=(
+                        "reduction forces a single point that is not integral; "
+                        "no certificate kind records it",
+                    ),
+                )
+            )
         solution = {name: int(v) for name, v in point.items()}
         return finish(
             SearchReport(
@@ -1084,11 +1054,12 @@ def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) 
             )
         )
 
+    notes: tuple[str, ...] = ()
     if len(free) == 1:
         try:
             return finish(_single_variable_verdict(system, reduced, free[0]))
-        except RootSearchOverflow:
-            pass  # fall through to bounded enumeration
+        except RootSearchOverflow as refusal:
+            notes = (f"root analysis refused: {refusal}; fell back to bounded enumeration",)
 
     bounds = dict(config.bounds or {})
     missing = [name for name in free if name not in bounds]
@@ -1100,7 +1071,6 @@ def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) 
         outcome = bounded_enumerate(
             reduced.residual_system(),
             bounds,
-            moduli=config.moduli,
             workers=config.workers,
             max_scan=config.max_scan,
         )
@@ -1110,20 +1080,11 @@ def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) 
                 VERDICT_INCONCLUSIVE,
                 system.variables,
                 bounds=bounds,
-                notes=(str(budget),),
+                notes=notes + (str(budget),),
             )
         )
 
-    solutions = []
-    for assignment in outcome.assignments:
-        full = reduced.extend(assignment)
-        if any(v.denominator != 1 for v in full.values()):
-            continue
-        candidate = {name: int(v) for name, v in full.items()}
-        if system.satisfied_by(candidate):
-            solutions.append(candidate)
-    solutions.sort(key=lambda a: tuple(a[v] for v in system.variables))
-
+    solutions = reduced.integer_solutions(outcome.assignments)
     if solutions:
         return finish(
             SearchReport(
@@ -1132,6 +1093,7 @@ def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) 
                 solutions=tuple(solutions),
                 bounds=bounds,
                 visited=outcome.visited,
+                notes=notes,
             )
         )
     return finish(
@@ -1140,7 +1102,7 @@ def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) 
             system.variables,
             bounds=bounds,
             visited=outcome.visited,
-            notes=("box exhausted without integer solutions",),
+            notes=notes + ("box exhausted without integer solutions",),
         )
     )
 
@@ -1166,16 +1128,8 @@ def _single_variable_verdict(system, reduced: ReducedSystem, variable: str) -> S
         analyses.append((res, analysis))
 
     candidates = sorted(set.intersection(*(set(a.roots) for _, a in analyses)))
-    solutions = []
-    for value in candidates:
-        full = reduced.extend({variable: value})
-        if any(v.denominator != 1 for v in full.values()):
-            continue
-        candidate = {name: int(v) for name, v in full.items()}
-        if system.satisfied_by(candidate):
-            solutions.append(candidate)
+    solutions = reduced.integer_solutions({variable: c} for c in candidates)
     if solutions:
-        solutions.sort(key=lambda a: tuple(a[v] for v in system.variables))
         return SearchReport(
             VERDICT_SOLUTIONS,
             system.variables,

@@ -235,6 +235,15 @@ def test_classify_malformed_bounds(capsys):
     assert code == EXIT_USAGE
 
 
+def test_classify_bounds_for_unknown_variable(capsys):
+    code, out, err = run(
+        capsys, "classify", "--n", "7", "--branch", "standard", "--bounds", "c9=0:5"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "unknown variables: c9" in err
+
+
 # -- table -------------------------------------------------------------------------
 
 
@@ -284,6 +293,8 @@ def test_no_subcommand_is_usage_error(capsys):
 def test_removed_options_are_usage_errors(capsys):
     assert run(capsys, "--seed", "1", "table")[0] == EXIT_USAGE
     argv = ("system", "--n", "5", "--branch", "half", "--mode", "full")
+    assert run(capsys, *argv)[0] == EXIT_USAGE
+    argv = ("classify", "--n", "5", "--branch", "half", "--moduli", "2,3")
     assert run(capsys, *argv)[0] == EXIT_USAGE
 
 

@@ -6,7 +6,11 @@ for n = 3, 5 on both branches.  They were first recorded before the
 integer-numerator polynomial kernel replaced the ``Fraction`` one, and
 re-recorded when the ``mode`` key was removed from the system and report
 schemas: that removal deletes the ``"mode": "ak"`` lines and changes no other
-byte.  A change that is meant to alter these reports regenerates the digests
+byte.  The classify digests were re-recorded once more when the enumeration's
+per-candidate residue filter was deleted together with the report key that
+listed its primes: the report loses that key's block and keeps every other
+byte, and the system digests stayed as they were.
+A change that is meant to alter these reports regenerates the digests
 and says why.
 """
 
@@ -39,10 +43,10 @@ SYSTEM_DIGESTS = {
 }
 
 CLASSIFY_DIGESTS = {
-    (3, "standard"): "81010ccb45944975d7a2568cd324d70a5529bc49ed32cb0f1f8f551598d5f584",
-    (3, "half"): "8c1520365e0e10e18bd182be15e8a0f876168373c689b04928e40a11e0137764",
-    (5, "standard"): "e3f851ca3a020ce140f4baf3057bec811560a9877be204cd9255604a71aec68a",
-    (5, "half"): "b46ef66af1b3c2efbcd6eaade7e979d5b7c4b73b4d1e4e1d65a500b36c1f808e",
+    (3, "standard"): "961acc6f5b33284a9c390ee557839f6459bcb0e3c373c72ed1a97af2e1dcd6a2",
+    (3, "half"): "b15aa6be8ac3fc49ba2a57ed7a0dcb9ff12785cee98f22226497f35ae0341723",
+    (5, "standard"): "643486321b784ec0263fc898c55b302af9b0607aa6b7b44f83937f3505ac7dd5",
+    (5, "half"): "f6c0bcbb9597de0559de4cc4559b3b8d994380f2137a72dcd23120e37049777c",
 }
 
 

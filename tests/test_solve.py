@@ -206,7 +206,7 @@ def test_rejects_zero_and_multivariate():
 
 def test_enumerate_square_equation():
     system = system_of(X * X - 4, variables=("x",))
-    out = bounded_enumerate(system, {"x": (-10, 10)}, moduli=(3,))
+    out = bounded_enumerate(system, {"x": (-10, 10)})
     assert [a["x"] for a in out.assignments] == [-2, 2]
 
 
@@ -220,7 +220,7 @@ def test_enumerate_matches_naive_scan():
     rng = random.Random(41)
     for _ in range(15):
         system, expected, bounds = planted_system(rng)
-        out = bounded_enumerate(system, bounds, moduli=(2, 3, 5))
+        out = bounded_enumerate(system, bounds)
         points = [
             tuple(a[name] for name in system.variables) for a in out.assignments
         ]
@@ -230,20 +230,11 @@ def test_enumerate_matches_naive_scan():
         assert points == naive
 
 
-def test_enumerate_moduli_do_not_change_results():
-    rng = random.Random(43)
-    system, _, bounds = planted_system(rng)
-    plain = bounded_enumerate(system, bounds, moduli=())
-    sieved = bounded_enumerate(system, bounds, moduli=(2, 3, 5, 7, 11))
-    assert plain.assignments == sieved.assignments
-    assert plain.visited == sieved.visited  # sieving skips work, not candidates
-
-
 def test_enumerate_workers_partition_agrees():
     rng = random.Random(47)
     system, _, bounds = planted_system(rng)
-    serial = bounded_enumerate(system, bounds, moduli=(2, 3))
-    parallel = bounded_enumerate(system, bounds, moduli=(2, 3), workers=3)
+    serial = bounded_enumerate(system, bounds)
+    parallel = bounded_enumerate(system, bounds, workers=3)
     assert serial.assignments == parallel.assignments
     assert serial.visited == parallel.visited
 
@@ -327,6 +318,46 @@ def test_bounds_required_without_dimension_metadata():
         solve_system(system_of(X * X - 4, Y * Y - 9))
 
 
+def test_bounds_for_unknown_variables_are_rejected():
+    bounds = {"x": (-5, 5), "y": (-5, 5), "z": (0, 1)}
+    with pytest.raises(ValueError, match="unknown variables: z"):
+        solve_system(system_of(X * X - 4, Y * Y - 9), SolverConfig(bounds=bounds))
+
+
+def test_bounds_for_eliminated_variables_are_accepted():
+    config = SolverConfig(bounds={"x": (-10, 10), "y": (-10, 10)})
+    report = solve_system(system_of(X * X - 4, Y - X), config)
+    assert report.verdict == VERDICT_SOLUTIONS
+    assert report.solutions == ({"x": -2, "y": -2}, {"x": 2, "y": 2})
+
+
+@pytest.mark.parametrize("root, verdict", [
+    (3, VERDICT_SOLUTIONS),
+    (30, VERDICT_INCONCLUSIVE),
+])
+def test_root_search_overflow_is_noted(root, verdict):
+    # the constant term, 1e12 + 7 times the root, is beyond divisor enumeration
+    poly = (X - root) * (X * X + 10**12 + 7)
+    system = system_of(poly, variables=("x",))
+    report = solve_system(system, SolverConfig(bounds={"x": (-10, 10)}))
+    assert report.verdict == verdict
+    assert report.solutions == (({"x": 3},) if root == 3 else ())
+    assert report.notes[0] == (
+        f"root analysis refused: |constant| = {(10**12 + 7) * root} beyond "
+        "divisor enumeration limit; fell back to bounded enumeration"
+    )
+
+
+def test_nonintegral_forced_point_is_inconclusive():
+    # x = y/2 from the first equation, then y = 3: the only point is (3, 3/2)
+    y, x = MultivariatePolynomial.generators(("y", "x"))
+    system = system_of(2 * x - y, x * y - y * y / 2 + y - 3, variables=("y", "x"))
+    report = solve_system(system)
+    assert report.verdict == VERDICT_INCONCLUSIVE
+    assert report.solutions == ()
+    assert "not integral" in report.notes[0]
+
+
 # -- planted-system recovery ----------------------------------------------------------
 
 
@@ -337,19 +368,6 @@ def test_planted_systems_recovered_exactly():
         report = solve_system(system, SolverConfig(bounds=bounds))
         assert report.verdict == VERDICT_SOLUTIONS
         assert list(report.solutions) == expected
-
-
-def test_planted_recovery_is_sieve_independent():
-    rng = random.Random(59)
-    for _ in range(10):
-        system, expected, bounds = planted_system(rng)
-        with_sieve = solve_system(
-            system, SolverConfig(bounds=bounds, moduli=(2, 3, 5, 7, 11))
-        )
-        without = solve_system(system, SolverConfig(bounds=bounds, moduli=()))
-        assert with_sieve.solutions == without.solutions
-        assert with_sieve.verdict == without.verdict
-        assert with_sieve.visited == without.visited
 
 
 # -- classification of the (M, D) systems -----------------------------------------------
@@ -375,8 +393,13 @@ def test_classify_n3_half_linear_collision():
     assert report.certificate["kind"] == "linear_inconsistency"
 
 
-def test_classify_n7_half_is_certified_or_inconclusive():
-    report = classify(7, Branch.HALF)
+@pytest.fixture(scope="module")
+def n7_half_report():
+    return classify(7, Branch.HALF)
+
+
+def test_classify_n7_half_is_certified_or_inconclusive(n7_half_report):
+    report = n7_half_report
     # the verdict is recorded, not asserted; whatever it is must be certified
     if report.verdict == VERDICT_NO_SOLUTION:
         assert verify_certificate(generate_system(7, Branch.HALF), report.certificate)
@@ -429,6 +452,11 @@ def test_certificate_rejects_garbage():
     assert not verify_certificate(system, {})
     assert not verify_certificate(system, {"kind": "root_free"})
     assert not verify_certificate(system, {"kind": "made_up"})
+    # an exhaustion over no equations proves nothing, even where it would be true
+    empty = {"kind": "candidate_exhaustion", "variable": "c2", "equations": [],
+             "candidates": [], "substitutions": []}
+    assert not verify_certificate(system, empty)
+    assert not verify_certificate(generate_system(5, Branch.STANDARD), empty)
 
 
 def test_inconsistency_certificate_replay():
@@ -440,14 +468,14 @@ def test_inconsistency_certificate_replay():
     assert not verify_certificate(system, bad)
 
 
-def test_reports_are_deterministic():
-    a = classify(7, Branch.HALF).to_json(include_timing=False)
+def test_reports_are_deterministic(n7_half_report):
+    a = n7_half_report.to_json(include_timing=False)
     b = classify(7, Branch.HALF).to_json(include_timing=False)
     assert a == b
 
 
-def test_reports_identical_across_worker_counts():
-    base = classify(7, Branch.HALF, config=SolverConfig(workers=1))
+def test_reports_identical_across_worker_counts(n7_half_report):
+    base = n7_half_report  # workers=1 is the default
     split = classify(7, Branch.HALF, config=SolverConfig(workers=4))
     assert base.to_json(include_timing=False) == split.to_json(include_timing=False)
 

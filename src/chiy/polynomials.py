@@ -409,9 +409,6 @@ class MultivariatePolynomial:
         shifts = _shifts(len(self.variables))
         return frozenset(name for name, s in zip(self.variables, shifts) if (used >> s) & _MASK)
 
-    def coefficient(self, exponents: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
-
     def univariate_coefficients(self, name: str) -> list["MultivariatePolynomial"]:
         """Coefficients of the powers of ``name``, lowest first, as polynomials
         in the remaining variables (same variable tuple, exponent zeroed)."""

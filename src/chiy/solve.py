@@ -13,9 +13,12 @@ carries its own burden of proof:
 
 Certificates are verified by :func:`verify_certificate` before a report is
 ever emitted, and the same function can replay a stored report against a
-freshly generated system.
+freshly generated system.  Root certificates replay by recomputation: the
+named equation of the original system, after the recorded substitutions,
+goes through :func:`univariate_integer_roots` again, and every recorded field
+of the analysis (variable, scale, coefficients, evidence) must match.
 
-The reduction keeps multiplier bookkeeping through Gaussian elimination, so
+The reduction carries multiplier columns through Gaussian elimination, so
 a substitution like ``c3 = c2 + 23`` is not just an output but an identity
 ``sum_i lambda_i * eq_i == c3 - (c2 + 23)`` over the (already substituted)
 input equations, which is what makes the certificates replayable without
@@ -182,6 +185,7 @@ def linear_reduce(system: EquationSystem) -> ReducedSystem:
     substitutions: list[Substitution] = []
     pivoted: set[str] = set()
     pass_index = 0
+    inconsistency = None
 
     while True:
         linear: list[tuple[int, MultivariatePolynomial]] = []
@@ -190,25 +194,23 @@ def linear_reduce(system: EquationSystem) -> ReducedSystem:
             if not poly:
                 continue
             (linear if poly.total_degree() <= 1 else rest).append((idx, poly))
+        work = rest
         if not linear:
-            work = rest
             break
         pass_index += 1
-        free_order = [v for v in variables if v not in pivoted]
-        columns = list(reversed(free_order))
-        col_pos = {name: i for i, name in enumerate(columns)}
+        columns = [v for v in reversed(variables) if v not in pivoted]
+        width = len(columns)
 
-        # rows: [coefficients | constant], plus multiplier bookkeeping
+        # augmented rows [coefficients | constant | multipliers]: row j starts
+        # as linear equation j, so its multipliers are the j-th unit vector
         rows = []
-        mults = []
         for j, (idx, poly) in enumerate(linear):
             constant, coeffs = _linear_parts(poly)
             row = [coeffs.get(name, Fraction(0)) for name in columns]
             row.append(constant)
+            row.extend([Fraction(0)] * len(linear))
+            row[width + 1 + j] = Fraction(1)
             rows.append(row)
-            mult = [Fraction(0)] * len(linear)
-            mult[j] = Fraction(1)
-            mults.append(mult)
 
         pivots: list[tuple[int, str]] = []  # (row index, variable)
         used_rows: set[int] = set()
@@ -224,60 +226,46 @@ def linear_reduce(system: EquationSystem) -> ReducedSystem:
             pivots.append((pivot_row, name))
             lead = rows[pivot_row][c]
             rows[pivot_row] = [v / lead for v in rows[pivot_row]]
-            mults[pivot_row] = [v / lead for v in mults[pivot_row]]
             for r in range(len(rows)):
                 if r == pivot_row or not rows[r][c]:
                     continue
                 factor = rows[r][c]
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
-                mults[r] = [a - factor * b for a, b in zip(mults[r], mults[pivot_row])]
 
-        # rows without a pivot must have vanished entirely, or they witness
-        # an inconsistency
-        for r in range(len(rows)):
-            if r in used_rows:
-                continue
-            if any(rows[r][:-1]):  # pragma: no cover - pivoting covers all columns
-                raise SoundnessError("unpivoted row with surviving coefficients")
-            if rows[r][-1]:
-                combination = tuple(
-                    (linear[j][0], m) for j, m in enumerate(mults[r]) if m
-                )
-                certificate = {
-                    "kind": "linear_inconsistency",
-                    "substitutions": [s.to_json_dict() for s in substitutions],
-                    "combination": [[i, _fr_str(m)] for i, m in combination],
-                    "pass": pass_index,
-                    "constant": _fr_str(rows[r][-1]),
-                }
-                free = tuple(v for v in variables if v not in pivoted)
-                residual = tuple(
-                    ResidualEquation(idx, system.equations[idx].provenance, poly)
-                    for idx, poly in rest
-                )
-                return ReducedSystem(
-                    system, tuple(substitutions), residual, free, certificate
-                )
+        indices = [idx for idx, _ in linear]
+        # pivoting covers every column, so a row without a pivot has no
+        # coefficients left; a nonzero constant there is an inconsistency
+        unpivoted = [row for r, row in enumerate(rows) if r not in used_rows]
+        if any(any(row[:width]) for row in unpivoted):  # pragma: no cover
+            raise SoundnessError("unpivoted row with surviving coefficients")
+        witness = next((row for row in unpivoted if row[width]), None)
+        if witness is not None:
+            inconsistency = {
+                "kind": "linear_inconsistency",
+                "substitutions": [s.to_json_dict() for s in substitutions],
+                "combination": [
+                    [i, _fr_str(m)] for i, m in zip(indices, witness[width + 1:]) if m
+                ],
+                "pass": pass_index,
+                "constant": _fr_str(witness[width]),
+            }
+            break
 
         mapping: dict[str, MultivariatePolynomial] = {}
+        zero = (0,) * len(variables)
         for pivot_row, name in pivots:
             row = rows[pivot_row]
             terms: dict[tuple[int, ...], Fraction] = {}
-            zero = (0,) * len(variables)
-            if row[-1]:
-                terms[zero] = -row[-1]
-            for c2, other in enumerate(columns):
-                if other == name or not row[c2]:
+            if row[width]:
+                terms[zero] = -row[width]
+            for other, coeff in zip(columns, row):
+                if other == name or not coeff:
                     continue
                 exps = tuple(1 if v == other else 0 for v in variables)
-                terms[exps] = -row[c2]
+                terms[exps] = -coeff
             expression = MultivariatePolynomial(variables, terms)
-            combination = tuple(
-                (linear[j][0], m) for j, m in enumerate(mults[pivot_row]) if m
-            )
-            substitutions.append(
-                Substitution(name, expression, combination, pass_index)
-            )
+            combination = tuple((i, m) for i, m in zip(indices, row[width + 1:]) if m)
+            substitutions.append(Substitution(name, expression, combination, pass_index))
             mapping[name] = expression
             pivoted.add(name)
 
@@ -288,7 +276,7 @@ def linear_reduce(system: EquationSystem) -> ReducedSystem:
         ResidualEquation(idx, system.equations[idx].provenance, poly)
         for idx, poly in work
     )
-    return ReducedSystem(system, tuple(substitutions), residual, free, None)
+    return ReducedSystem(system, tuple(substitutions), residual, free, inconsistency)
 
 
 # ---------------------------------------------------------------------------
@@ -831,33 +819,16 @@ def _combine(system: EquationSystem, subs, combination, before_pass: int):
     return acc
 
 
-def _check_root_evidence(coefficients: tuple[int, ...], evidence: dict) -> bool:
-    """Re-establish that the primitive integer polynomial has no integer root."""
-    core = list(coefficients)
-    zero_mult = 0
-    while core and core[0] == 0:
-        zero_mult += 1
-        core.pop(0)
-    if zero_mult != evidence.get("zero_root_multiplicity", 0):
-        return False
-    if zero_mult:
-        return False  # zero itself is a root; cannot be root-free
-    degree = len(core) - 1
-    kind = evidence.get("type")
-    if degree == 0:
-        return kind in ("nonzero_constant", "unit_after_zero_roots") and core[0] != 0
-    if degree == 1:
-        b, a = core
-        return kind == "linear" and b % a != 0
-    if degree == 2:
-        disc, found = _quadratic_integer_roots(*core)
-        return kind == "discriminant" and str(disc) == evidence.get("discriminant") and not found
-    if kind != "divisors":
-        return False
-    divisors = [int(d) for d in evidence.get("divisors", [])]
-    if divisors != _divisors(core[0]):
-        return False
-    return not _integer_zeros(core, [x for d in divisors for x in (d, -d)])
+def _recorded_equation(system: EquationSystem, subs, record: dict):
+    """The equation a root certificate names by ``source_index``, after every
+    recorded substitution; its recorded ``provenance`` must match."""
+    index = int(record["source_index"])
+    if not 0 <= index < len(system.equations):
+        raise IndexError(f"equation index {index} out of range")
+    equation = system.equations[index]
+    if record["provenance"] != equation.provenance:
+        raise ValueError(f"equation {index} is {equation.provenance}, not {record['provenance']}")
+    return _transform(equation.polynomial, subs, None)
 
 
 def verify_certificate(system: EquationSystem, certificate: dict) -> bool:
@@ -901,37 +872,24 @@ def _verify_certificate(system: EquationSystem, certificate: dict) -> bool:
         return value.denominator != 1 and acc == target
 
     if kind == "root_free":
-        index = int(certificate["source_index"])
-        if not 0 <= index < len(system.equations):
-            return False
-        phi = _transform(system.equations[index].polynomial, subs, None)
-        scaled = phi * _parse_fr(certificate["scale"])
-        coefficients = tuple(int(c) for c in certificate["integer_coefficients"])
-        variable = certificate["variable"]
-        if variable not in variables:
-            return False
-        rebuilt = MultivariatePolynomial.zero(variables)
-        gen = MultivariatePolynomial.variable(variable, variables)
-        power = MultivariatePolynomial.one(variables)
-        for k, coeff in enumerate(coefficients):
-            if k:
-                power = power * gen
-            rebuilt = rebuilt + coeff * power
-        if scaled != rebuilt:
-            return False
-        return _check_root_evidence(coefficients, certificate["evidence"])
+        # replay by recomputation: the same analysis, to the last evidence field
+        analysis = univariate_integer_roots(_recorded_equation(system, subs, certificate))
+        return (
+            not analysis.roots
+            and analysis.variable == certificate["variable"]
+            and analysis.scale == _parse_fr(certificate["scale"])
+            and analysis.primitive_coefficients
+            == tuple(int(c) for c in certificate["integer_coefficients"])
+            and analysis.evidence == certificate["evidence"]
+        )
 
     if kind == "candidate_exhaustion":
         variable = certificate["variable"]
         candidate_sets = []
         for item in certificate["equations"]:
-            index = int(item["source_index"])
-            if not 0 <= index < len(system.equations):
-                return False
-            phi = _transform(system.equations[index].polynomial, subs, None)
-            try:
-                analysis = univariate_integer_roots(phi)
-            except (ValueError, RootSearchOverflow):
+            analysis = univariate_integer_roots(_recorded_equation(system, subs, item))
+            # root sets of different variables prove nothing by intersecting
+            if analysis.variable != variable:
                 return False
             if tuple(int(r) for r in item["roots"]) != analysis.roots:
                 return False

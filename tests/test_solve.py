@@ -445,6 +445,81 @@ def test_certificate_rejects_tampering():
     ]
     assert not verify_certificate(system, bad)
 
+    # false evidence on a true claim: replay recomputes every field
+    assert good["evidence"] == {"zero_root_multiplicity": 0, "type": "discriminant",
+                                "discriminant": "592", "is_square": False}
+    edits = [
+        lambda c: c["evidence"].update(is_square=True),
+        lambda c: c["evidence"].pop("zero_root_multiplicity"),
+        lambda c: c["evidence"].update(note="extra"),
+        lambda c: c.update(
+            scale="-" + c["scale"],
+            integer_coefficients=[str(-int(k)) for k in c["integer_coefficients"]],
+        ),
+    ]
+    for edit in edits:
+        bad = json.loads(json.dumps(good))
+        edit(bad)
+        assert not verify_certificate(system, bad), bad
+
+    # a cubic settled by the divisors of its constant term
+    x = MultivariatePolynomial.variable("x", ("x",))
+    cubic = system_of(x ** 3 + 2 * x + 7, variables=("x",))
+    good = solve_system(cubic).certificate
+    assert good["evidence"]["type"] == "divisors"
+    assert verify_certificate(cubic, good)
+    bad = json.loads(json.dumps(good))
+    bad["evidence"]["constant"] = "8"
+    assert not verify_certificate(cubic, bad)
+
+
+def test_certificate_replay_checks_provenance():
+    system = generate_system(5, Branch.HALF)
+    bad = json.loads(classify(5, Branch.HALF).to_json())["certificate"]
+    bad["provenance"] = "A_9(Z)"
+    assert not verify_certificate(system, bad)
+
+    system = system_of((X - 2) * (X - 3), (X - 4) * (X - 5), Y - X)
+    certificate = solve_system(system).certificate
+    assert certificate["kind"] == "candidate_exhaustion"
+    assert verify_certificate(system, certificate)
+    certificate["equations"][1]["provenance"] = "eq0"
+    assert not verify_certificate(system, certificate)
+
+
+def test_exhaustion_roots_must_share_the_variable():
+    # x in {2, 3} and y in {4, 7} intersect to nothing, yet (2, 4) solves it
+    system = system_of((X - 2) * (X - 3), (Y - 4) * (Y - 7))
+    forged = {
+        "kind": "candidate_exhaustion",
+        "variable": "x",
+        "equations": [
+            {"source_index": 0, "provenance": "eq0", "roots": ["2", "3"]},
+            {"source_index": 1, "provenance": "eq1", "roots": ["4", "7"]},
+        ],
+        "candidates": [],
+        "substitutions": [],
+    }
+    assert system.satisfied_by({"x": 2, "y": 4})
+    assert not verify_certificate(system, forged)
+
+
+@pytest.mark.parametrize("second, kind", [
+    (2 * X * Y - 2 * X - 1, "nonintegral_value"),  # y = 2 leaves 2x - 1
+    (X * Y - 2 * X + 1, "linear_inconsistency"),  # y = 2 leaves 1
+], ids=["nonintegral_value", "linear_inconsistency"])
+def test_second_pass_certificates(second, kind):
+    system = system_of(Y - 2, second)
+    certificate = solve_system(system).certificate
+    assert certificate["kind"] == kind
+    assert certificate["pass"] == 2
+    assert verify_certificate(system, certificate)
+    if kind == "nonintegral_value":
+        assert (certificate["variable"], certificate["value"]) == ("x", "1/2")
+    # the combination only holds after the first pass's substitution
+    certificate["pass"] = 1
+    assert not verify_certificate(system, certificate)
+
 
 def test_certificate_rejects_garbage():
     system = generate_system(5, Branch.HALF)
@@ -486,7 +561,8 @@ def test_report_serializes_integers_as_strings():
     assert data["visited"] == str(report.visited)
     for solution in data["solutions"]:
         assert all(isinstance(v, str) for v in solution.values())
-    assert data["n"] == 5 and data["branch"] == "half" or data["branch"] == "standard"
+    assert data["n"] == 5
+    assert data["branch"] == "standard"
 
 
 def test_report_timing_toggle():

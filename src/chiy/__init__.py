@@ -9,13 +9,10 @@ backed by replayable certificates or exhaustive bounded search.
 
 from .chern import (
     ChernVector,
-    ManifoldModel,
     chern_to_power_sums,
     exp_alphabet_power_sums,
-    integrate,
     power_sums_to_elementary,
     projective_space,
-    projective_space_chern,
     todd_class,
 )
 from .fujita import (
@@ -26,7 +23,6 @@ from .fujita import (
     Equation,
     EquationSystem,
     ForcedValues,
-    PairModel,
     adjunction_chern,
     alternating_sum_check,
     dichotomy_residual,
@@ -42,7 +38,6 @@ from .genus import (
     MinusOneExpansion,
     PinnedProducts,
     a1_closed_form,
-    chi_p_from_chern,
     chi_y_from_chern,
     chi_y_from_hodge,
     expand_at_minus_one,
@@ -84,11 +79,9 @@ __all__ = [
     "EquationSystem",
     "ForcedValues",
     "HodgeDiamond",
-    "ManifoldModel",
     "MinusOneExpansion",
     "MONOMIAL_SCHEMA",
     "MultivariatePolynomial",
-    "PairModel",
     "PinnedProducts",
     "REPORT_SCHEMA",
     "ReducedSystem",
@@ -108,7 +101,6 @@ __all__ = [
     "bernoulli",
     "bounded_enumerate",
     "chern_to_power_sums",
-    "chi_p_from_chern",
     "chi_y_from_chern",
     "chi_y_from_hodge",
     "classify",
@@ -118,13 +110,11 @@ __all__ = [
     "expand_at_minus_one",
     "forced_values",
     "generate_system",
-    "integrate",
     "linear_reduce",
     "parity_admissible",
     "pinned_products",
     "power_sums_to_elementary",
     "projective_space",
-    "projective_space_chern",
     "solve_system",
     "todd_class",
     "univariate_integer_roots",

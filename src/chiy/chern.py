@@ -2,10 +2,9 @@
 
 The ambient ring is Z[x]/(x^{n+1}) with x of degree one, so every cohomology
 class is determined by the n+1 scalars multiplying 1, x, ..., x^n.  A
-``ChernVector`` holds the scalars of c_1, ..., c_n of the tangent bundle; a
-``ManifoldModel`` fixes on top of that the normalization x^n[M] = 1 used by
-:func:`integrate`.  A graded class is a ``TruncatedSeries`` of order n whose
-coefficient k is the scalar multiplying x^k.
+``ChernVector`` holds the scalars of c_1, ..., c_n of the tangent bundle.  A
+graded class is a ``TruncatedSeries`` of order n whose coefficient k is the
+scalar multiplying x^k.
 
 Newton's identities convert between Chern entries (elementary symmetric
 functions of the formal roots) and power sums.  From power sums one obtains
@@ -18,7 +17,6 @@ or polynomial scalars.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -60,17 +58,6 @@ class ChernVector:
 
     def __repr__(self):
         return f"ChernVector({list(self.entries)!r})"
-
-
-@dataclass(frozen=True)
-class ManifoldModel:
-    """Formal n-fold: a Chern vector plus the normalization x^n[M] = 1."""
-
-    chern: ChernVector
-
-    @property
-    def n(self) -> int:
-        return self.chern.n
 
 
 def chern_to_power_sums(c: ChernVector) -> list:
@@ -150,20 +137,8 @@ def todd_class(c: ChernVector) -> TruncatedSeries:
     return TruncatedSeries(c.n, components).exp()
 
 
-def integrate(m: ManifoldModel, g: TruncatedSeries):
-    """Pair a graded class against the fundamental class: pick out the scalar
-    of x^n under the normalization x^n[M] = 1."""
-    if g.order != m.n:
-        raise ValueError(f"class of order {g.order} on an n = {m.n} manifold")
-    return g.coefficients[m.n]
-
-
-def projective_space_chern(n: int) -> ChernVector:
+def projective_space(n: int) -> ChernVector:
     """Chern vector of P^n: c_i = C(n+1, i)."""
     if n < 1:
         raise ValueError("projective space needs n >= 1")
     return ChernVector([math.comb(n + 1, i) for i in range(1, n + 1)])
-
-
-def projective_space(n: int) -> ManifoldModel:
-    return ManifoldModel(projective_space_chern(n))

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .chern import ChernVector, ManifoldModel
+from .chern import ChernVector
 from .genus import (
     HodgeDiamond,
     chi_y_from_chern,
@@ -44,7 +44,7 @@ log = logging.getLogger(__name__)
 
 
 class Branch(enum.Enum):
-    """Which root of the c_1 dichotomy a pair model commits to."""
+    """Which root of the c_1 dichotomy a pair (M, D) commits to."""
 
     STANDARD = "standard"
     HALF = "half"
@@ -70,30 +70,6 @@ def adjunction_chern(c_m: ChernVector) -> ChernVector:
     for i in range(2, c_m.n):
         entries.append(c_m.scalar(i) - entries[-1])
     return ChernVector(entries)
-
-
-@dataclass(frozen=True)
-class PairModel:
-    """A compactification pair: M with its derived divisor Chern data."""
-
-    branch: Branch
-    manifold: ManifoldModel
-    divisor: ManifoldModel
-
-    @classmethod
-    def from_manifold(cls, chern_m: ChernVector, branch: Branch) -> "PairModel":
-        chern_d = adjunction_chern(chern_m)
-        # re-check the defining identity on every entry
-        for i in range(1, chern_m.n):
-            lhs = chern_m.scalar(i)
-            rhs = chern_d.scalar(i) + chern_d.scalar(i - 1)
-            if not lhs == rhs:
-                raise AssertionError(f"adjunction identity failed at c_{i}")
-        return cls(branch, ManifoldModel(chern_m), ManifoldModel(chern_d))
-
-    @property
-    def n(self) -> int:
-        return self.manifold.n
 
 
 @dataclass(frozen=True)
@@ -320,10 +296,10 @@ def generate_system(n: int, branch: Branch) -> EquationSystem:
     equations are dropped with a log note.
     """
     chern_m, variables = unknown_chern_vector(n, branch)
-    pair = PairModel.from_manifold(chern_m, branch)
+    chern_d = adjunction_chern(chern_m)
 
-    a_m = expand_at_minus_one(chi_y_from_chern(pair.manifold)).coefficients
-    a_d = expand_at_minus_one(chi_y_from_chern(pair.divisor)).coefficients
+    a_m = expand_at_minus_one(chi_y_from_chern(chern_m)).coefficients
+    a_d = expand_at_minus_one(chi_y_from_chern(chern_d)).coefficients
     target_m = _projective_expansion(n)
     target_d = _projective_expansion(n - 1)
 

@@ -25,9 +25,7 @@ from pathlib import Path
 
 from .chern import (
     ChernVector,
-    ManifoldModel,
     exp_alphabet_power_sums,
-    integrate,
     power_sums_to_elementary,
     todd_class,
 )
@@ -159,38 +157,25 @@ class HodgeDiamond:
         return cls.from_text(Path(path).read_text())
 
 
-def _omega_characters(m: ManifoldModel, up_to: int) -> list[TruncatedSeries]:
-    """Chern characters of Omega^0, ..., Omega^{up_to}: elementary symmetric
-    functions of the alphabet {exp(-root)} of the tangent bundle."""
-    n = m.n
-    power = exp_alphabet_power_sums(m.chern, Fraction(-1), n)
-    elementary = power_sums_to_elementary(power[:up_to] if up_to < n else power, up_to)
-    return [TruncatedSeries.one(n)] + elementary
-
-
-def chi_p_from_chern(m: ManifoldModel, p: int):
-    """chi_p via Hirzebruch-Riemann-Roch."""
-    if not 0 <= p <= m.n:
-        raise ValueError(f"p = {p} outside 0..{m.n}")
-    omega = _omega_characters(m, p)
-    return _pair_top(omega[p], todd_class(m.chern), m)
-
-
-def _pair_top(a: TruncatedSeries, b: TruncatedSeries, m: ManifoldModel):
-    # Only the x^n component of a*b is needed; avoid the full product.
-    n = m.n
+def _pair_top(a: TruncatedSeries, b: TruncatedSeries):
+    # The integral of a*b is its x^n scalar under the normalization
+    # x^n[M] = 1; only that component is needed, so avoid the full product.
+    n = a.order
     acc = a.coefficients[0] * b.coefficients[n]
     for j in range(1, n + 1):
         acc = acc + a.coefficients[j] * b.coefficients[n - j]
     return acc
 
 
-def chi_y_from_chern(m: ManifoldModel) -> ChiYPolynomial:
-    """All chi_p at once, sharing the alphabet and the Todd class."""
-    n = m.n
-    omega = _omega_characters(m, n)
-    todd = todd_class(m.chern)
-    return ChiYPolynomial(tuple(_pair_top(omega[p], todd, m) for p in range(n + 1)))
+def chi_y_from_chern(c: ChernVector) -> ChiYPolynomial:
+    """chi_p via Hirzebruch-Riemann-Roch for every p at once, sharing the
+    alphabet and the Todd class.  The Chern characters of Omega^p are the
+    elementary symmetric functions of the alphabet {exp(-root)}."""
+    n = c.n
+    power = exp_alphabet_power_sums(c, Fraction(-1), n)
+    omega = [TruncatedSeries.one(n)] + power_sums_to_elementary(power, n)
+    todd = todd_class(c)
+    return ChiYPolynomial(tuple(_pair_top(omega[p], todd) for p in range(n + 1)))
 
 
 def chi_y_from_hodge(h: HodgeDiamond) -> ChiYPolynomial:
@@ -219,11 +204,10 @@ def expand_at_minus_one(chi: ChiYPolynomial) -> MinusOneExpansion:
     return MinusOneExpansion(tuple(out))
 
 
-def a1_closed_form(m: ManifoldModel):
+def a1_closed_form(c: ChernVector):
     """A_1 = n(3n-5)/24 * c_n[M] + 1/12 * c_1 c_{n-1}[M], straight from the
     coefficient identity; independent of the expansion pipeline."""
-    n = m.n
-    c = m.chern
+    n = c.n
     return Fraction(n * (3 * n - 5), 24) * c.scalar(n) + Fraction(1, 12) * (
         c.scalar(1) * c.scalar(n - 1)
     )

@@ -409,21 +409,6 @@ class MultivariatePolynomial:
         shifts = _shifts(len(self.variables))
         return frozenset(name for name, s in zip(self.variables, shifts) if (used >> s) & _MASK)
 
-    def univariate_coefficients(self, name: str) -> list["MultivariatePolynomial"]:
-        """Coefficients of the powers of ``name``, lowest first, as polynomials
-        in the remaining variables (same variable tuple, exponent zeroed)."""
-        shift = self._field(name)
-        unit = (1 << shift) + (1 << (FIELD_BITS * len(self.variables)))
-        buckets: dict[int, dict[int, int]] = {}
-        for k, c in self._nums.items():
-            e = (k >> shift) & _MASK
-            buckets.setdefault(e, {})[k - e * unit] = c
-        degree = max(buckets, default=0)
-        return [
-            self._reduced(self.variables, buckets.get(e, {}), self._den)
-            for e in range(degree + 1)
-        ]
-
     # ------------------------------------------------------------------
     # substitution and evaluation
 
@@ -525,14 +510,11 @@ class MultivariatePolynomial:
     # ------------------------------------------------------------------
     # presentation
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return list(self.terms.items())
-
     def __str__(self):
         if not self._nums:
             return "0"
         pieces = []
-        for exps, coeff in self.sorted_terms():
+        for exps, coeff in self.terms.items():
             factors = []
             for name, e in zip(self.variables, exps):
                 if e == 1:
@@ -567,7 +549,7 @@ class MultivariatePolynomial:
                 "coeff_den": str(coeff.denominator),
                 "exponents": list(exps),
             }
-            for exps, coeff in self.sorted_terms()
+            for exps, coeff in self.terms.items()
         ]
 
     @classmethod

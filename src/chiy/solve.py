@@ -48,6 +48,9 @@ VERDICT_NO_SOLUTION = "no_integer_solution"
 VERDICT_SOLUTIONS = "solutions"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
+#: The default search box is |c_i| <= _BOUND_SCALE * C(n+1, i).
+_BOUND_SCALE = 16
+
 
 class SoundnessError(RuntimeError):
     """An internal cross-check failed; a report would have been unsound."""
@@ -611,7 +614,6 @@ def _enumerate_chunk(system, bounds, solved):
 class SolverConfig:
     """Budget and strategy knobs; everything is deterministic."""
 
-    bound_scale: int = 16
     bounds: Optional[dict[str, tuple[int, int]]] = None
     workers: int = 1
     max_scan: int = 50_000_000
@@ -631,8 +633,9 @@ class SearchReport:
     substitutions: tuple[dict, ...] = ()
     notes: tuple[str, ...] = ()
 
-    def to_json_dict(self, include_timing: bool = True) -> dict:
-        data = {
+    def to_json_dict(self) -> dict:
+        """The report without ``elapsed_ms``: timing never enters it."""
+        return {
             "n": self.n,
             "branch": self.branch,
             "verdict": self.verdict,
@@ -649,18 +652,11 @@ class SearchReport:
             "substitutions": list(self.substitutions),
             "notes": list(self.notes),
         }
-        if include_timing:
-            data["elapsed_ms"] = self.elapsed_ms
-        return data
 
-    def to_json(self, include_timing: bool = True) -> str:
+    def to_json(self) -> str:
         import json
 
-        return json.dumps(
-            self.to_json_dict(include_timing=include_timing),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
 _INTEGER_STRING = {"type": "string", "pattern": "^-?[0-9]+$"}
@@ -775,7 +771,6 @@ REPORT_SCHEMA = {
             },
         },
         "notes": {"type": "array", "items": {"type": "string"}},
-        "elapsed_ms": {"type": "number", "minimum": 0},
     },
     "additionalProperties": False,
 }
@@ -842,7 +837,7 @@ def verify_certificate(system: EquationSystem, certificate: dict) -> bool:
     try:
         return _verify_certificate(system, certificate)
     except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError,
-            RootSearchOverflow):
+            OverflowError, RootSearchOverflow):
         return False
 
 
@@ -906,7 +901,7 @@ def _verify_certificate(system: EquationSystem, certificate: dict) -> bool:
     return False
 
 
-def _default_bounds(system: EquationSystem, names, scale: int) -> dict:
+def _default_bounds(system: EquationSystem, names) -> dict:
     if system.n is None:
         raise ValueError("explicit bounds are required for systems without n")
     bounds = {}
@@ -914,7 +909,7 @@ def _default_bounds(system: EquationSystem, names, scale: int) -> dict:
         if not name.startswith("c"):
             raise ValueError(f"no default bound rule for variable {name!r}")
         i = int(name[1:])
-        b = math.comb(system.n + 1, i) * scale
+        b = math.comb(system.n + 1, i) * _BOUND_SCALE
         bounds[name] = (-b, b)
     return bounds
 
@@ -1022,7 +1017,7 @@ def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) 
     bounds = dict(config.bounds or {})
     missing = [name for name in free if name not in bounds]
     if missing:
-        bounds.update(_default_bounds(system, missing, config.bound_scale))
+        bounds.update(_default_bounds(system, missing))
     bounds = {name: bounds[name] for name in free}
 
     try:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from chiy.chern import ChernVector, ManifoldModel, integrate, projective_space, todd_class
+from chiy.chern import ChernVector, projective_space, todd_class
 from chiy.fujita import (
     Branch,
     Equation,
@@ -101,14 +101,14 @@ def test_criterion_01_projective_space_suite(criterion):
     with criterion(1, "chi_y and Todd normalization on P^n, n = 1..10") as c:
         start = time.perf_counter()
         for n in range(1, 11):
-            m = projective_space(n)
-            computed = chi_y_from_chern(m)
+            vector = projective_space(n)
+            computed = chi_y_from_chern(vector)
             closed_form = ChiYPolynomial(
                 tuple(Fraction((-1) ** p) for p in range(n + 1))
             )
             oracle = chi_y_from_hodge(HodgeDiamond.projective_space(n))
             assert computed == closed_form == oracle, f"chi_y mismatch at n={n}"
-            assert integrate(m, todd_class(m.chern)) == 1, f"Todd integral at n={n}"
+            assert todd_class(vector).coefficients[n] == 1, f"Todd integral at n={n}"
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.1f}s, budget 10s"
         c.note(f"{elapsed:.2f}s")
@@ -123,9 +123,9 @@ def test_criterion_02_a1_closed_form_identity(criterion):
         for n in range(2, 9):
             for _ in range(200):
                 entries = [Fraction(rng.randint(-60, 60)) for _ in range(n)]
-                m = ManifoldModel(ChernVector(entries))
-                expansion = expand_at_minus_one(chi_y_from_chern(m))
-                assert expansion.A(1) == a1_closed_form(m), (n, entries)
+                vector = ChernVector(entries)
+                expansion = expand_at_minus_one(chi_y_from_chern(vector))
+                assert expansion.A(1) == a1_closed_form(vector), (n, entries)
                 count += 1
         c.note(f"{count} vectors, n = 2..8, exact")
 
@@ -149,11 +149,11 @@ def test_criterion_03_pinned_products_and_forced_values(criterion):
             vec_m, variables = unknown_chern_vector(n, Branch.HALF)
             vec_d = adjunction_chern(vec_m)
             eq_m = Equation(
-                "A_1(M)", a1_closed_form(ManifoldModel(vec_m)) - math.comb(n + 1, 3)
+                "A_1(M)", a1_closed_form(vec_m) - math.comb(n + 1, 3)
             )
             eq_d0 = Equation("A_0(D)", vec_d.scalar(n - 1) - n)
             eq_d1 = Equation(
-                "A_1(D)", a1_closed_form(ManifoldModel(vec_d)) - math.comb(n, 3)
+                "A_1(D)", a1_closed_form(vec_d) - math.comb(n, 3)
             )
 
             # A_1(M) alone pins c_{n-1}(M)
@@ -258,7 +258,7 @@ def test_criterion_10_open_branch_n7(criterion):
         report = classify(7, Branch.HALF)
         elapsed = time.perf_counter() - start
         assert elapsed < 600.0, f"took {elapsed:.1f}s, budget 600s"
-        payload = report.to_json_dict(include_timing=False)
+        payload = report.to_json_dict()
         jsonschema.validate(payload, REPORT_SCHEMA)
         system = generate_system(7, Branch.HALF)
         # the verdict's value is recorded, not asserted: whichever way the

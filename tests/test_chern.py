@@ -6,13 +6,10 @@ import pytest
 
 from chiy.chern import (
     ChernVector,
-    ManifoldModel,
     chern_to_power_sums,
     exp_alphabet_power_sums,
-    integrate,
     power_sums_to_elementary,
     projective_space,
-    projective_space_chern,
     todd_class,
 )
 from chiy.polynomials import MultivariatePolynomial
@@ -31,7 +28,7 @@ def test_chern_vector_basics():
 
 def test_projective_space_chern_is_binomial():
     for n in range(1, 12):
-        c = projective_space_chern(n)
+        c = projective_space(n)
         assert [c.scalar(i) for i in range(n + 1)] == [
             math.comb(n + 1, i) for i in range(n + 1)
         ]
@@ -47,7 +44,7 @@ def test_power_sums_of_p2():
 def test_power_sums_of_projective_space_are_constant():
     # ch of the tangent bundle is (n+1)e^x - 1, so every power sum is n+1
     for n in range(1, 9):
-        p = chern_to_power_sums(projective_space_chern(n))
+        p = chern_to_power_sums(projective_space(n))
         assert p == [Fraction(n + 1)] * n
 
 
@@ -76,7 +73,7 @@ def test_newton_round_trip_symbolic():
 def test_exp_alphabet_on_p1():
     # two formal roots summing to 2x, specialized with t = -1:
     # P_1 = sum of e^{-root} = 2 - 2x after truncation at order 1
-    c = projective_space_chern(1)
+    c = projective_space(1)
     p = exp_alphabet_power_sums(c, t=Fraction(-1), rank=2)
     assert p[0].coefficients == (Fraction(2), Fraction(-2))
     # P_2 doubles the exponent: 2 - 4x
@@ -84,7 +81,7 @@ def test_exp_alphabet_on_p1():
 
 
 def test_exp_alphabet_rank_only_enters_degree_zero():
-    c = projective_space_chern(2)
+    c = projective_space(2)
     a = exp_alphabet_power_sums(c, t=Fraction(-1), rank=3)
     b = exp_alphabet_power_sums(c, t=Fraction(-1), rank=5)
     for k in range(len(a)):
@@ -96,10 +93,10 @@ def test_exp_alphabet_rank_only_enters_degree_zero():
 
 
 def test_todd_of_p1_and_p2():
-    td1 = todd_class(projective_space_chern(1))
+    td1 = todd_class(projective_space(1))
     assert td1.coefficients == (Fraction(1), Fraction(1))  # 1 + x
 
-    td2 = todd_class(projective_space_chern(2))
+    td2 = todd_class(projective_space(2))
     assert td2.coefficients == (Fraction(1), Fraction(3, 2), Fraction(1))
 
 
@@ -117,8 +114,7 @@ def test_universal_todd_polynomials():
 
 def test_todd_integrates_to_one_on_projective_space():
     for n in range(1, 11):
-        m = projective_space(n)
-        assert integrate(m, todd_class(m.chern)) == 1
+        assert todd_class(projective_space(n)).coefficients[n] == 1
 
 
 def _at_point(component, point):
@@ -154,7 +150,7 @@ def test_todd_degree_locality():
         assert used <= {f"c{i}" for i in range(1, k + 1)}
 
 
-# -- graded classes and integration -------------------------------------------
+# -- graded classes -------------------------------------------------------------
 
 
 def test_graded_class_multiplication_truncates():
@@ -163,18 +159,8 @@ def test_graded_class_multiplication_truncates():
     assert (g * h).coefficients == (1, 3, 5)
 
 
-def test_integrate_picks_top_component():
-    m = projective_space(3)
-    g = TruncatedSeries(3, [5, 0, 0, Fraction(7, 2)])
-    assert integrate(m, g) == Fraction(7, 2)
-
-
-def test_integrate_order_mismatch():
-    m = projective_space(3)
-    with pytest.raises(ValueError):
-        integrate(m, TruncatedSeries(2, [1, 0, 0]))
-
-
 def test_manifold_model_dimension():
     assert projective_space(4).n == 4
-    assert ManifoldModel(ChernVector([3, 3])).n == 2
+    assert ChernVector([3, 3]).n == 2
+    with pytest.raises(ValueError):
+        projective_space(0)

@@ -103,6 +103,13 @@ def test_genus_flags_nonintegral_input(capsys):
     assert payload["violations"] == [0, 1, 2]
 
 
+def test_genus_zero_denominator_is_usage_error(capsys):
+    code, out, err = run(capsys, "genus", "--chern", "1/0,3")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("chiy: error:")
+
+
 def test_genus_output_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     code, out, _ = run(
@@ -283,6 +290,15 @@ def test_table_text_aligns(capsys):
     assert len(lines) == 4  # header + n in 2..4
 
 
+@pytest.mark.parametrize("fmt, expected", [("csv", "n,"), ("text", "n  "), ("json", "[]")])
+def test_table_without_rows(capsys, fmt, expected):
+    code, out, err = run(capsys, "table", "--max-n", "1", "--format", fmt)
+    assert code == EXIT_OK
+    assert err == ""
+    assert len(out.splitlines()) == 1
+    assert out.startswith(expected)
+
+
 # -- global behaviour -----------------------------------------------------------------
 
 
@@ -295,6 +311,8 @@ def test_removed_options_are_usage_errors(capsys):
     argv = ("system", "--n", "5", "--branch", "half", "--mode", "full")
     assert run(capsys, *argv)[0] == EXIT_USAGE
     argv = ("classify", "--n", "5", "--branch", "half", "--moduli", "2,3")
+    assert run(capsys, *argv)[0] == EXIT_USAGE
+    argv = ("classify", "--n", "5", "--branch", "half", "--bound-scale", "16")
     assert run(capsys, *argv)[0] == EXIT_USAGE
 
 

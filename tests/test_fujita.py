@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from chiy.chern import ChernVector, ManifoldModel, projective_space, projective_space_chern
+from chiy.chern import ChernVector, projective_space
 from chiy.fujita import (
     Branch,
     EquationSystem,
-    PairModel,
     adjunction_chern,
     alternating_sum_check,
     dichotomy_residual,
@@ -30,7 +29,7 @@ from chiy.solve import linear_reduce
 def test_adjunction_on_projective_space():
     # the hyperplane P^{n-1} inside P^n: binomials map to binomials
     for n in range(2, 10):
-        d = adjunction_chern(projective_space_chern(n))
+        d = adjunction_chern(projective_space(n))
         assert d.n == n - 1
         assert [d.scalar(i) for i in range(n)] == [math.comb(n, i) for i in range(n)]
 
@@ -50,10 +49,18 @@ def test_adjunction_requires_dimension_two():
         adjunction_chern(ChernVector([2]))
 
 
-def test_pair_model_from_projective_space():
-    pair = PairModel.from_manifold(projective_space_chern(4), Branch.STANDARD)
-    assert pair.divisor.chern.scalar(1) == 4
-    assert pair.manifold.n == 4
+def test_adjunction_identity_on_unknown_vectors():
+    # c_i(M) = c_i(D) + c_{i-1}(D) for every i, on the symbolic vectors
+    # that generate_system feeds through adjunction
+    for n in range(3, 14):
+        for branch in Branch:
+            if not branch.valid_for(n):
+                continue
+            chern_m, _ = unknown_chern_vector(n, branch)
+            chern_d = adjunction_chern(chern_m)
+            assert chern_d.n == n - 1
+            for i in range(1, n):
+                assert chern_m.scalar(i) == chern_d.scalar(i) + chern_d.scalar(i - 1)
 
 
 # -- dichotomy and parity ---------------------------------------------------------
@@ -137,7 +144,7 @@ def test_forced_values_rejects_other_dimensions():
 
 def test_alternating_sum_on_binomials():
     for n in range(1, 31):
-        assert alternating_sum_check(projective_space_chern(n))
+        assert alternating_sum_check(projective_space(n))
 
 
 def test_alternating_sum_fails_off_identity():
@@ -243,7 +250,7 @@ def test_odd_coefficients_lie_in_the_span_of_the_system(n, rank, branch):
     chern_m, _ = unknown_chern_vector(n, branch)
     odd = []
     for c, dim in ((chern_m, n), (adjunction_chern(chern_m), n - 1)):
-        a = expand_at_minus_one(chi_y_from_chern(ManifoldModel(c))).coefficients
+        a = expand_at_minus_one(chi_y_from_chern(c)).coefficients
         target = expand_at_minus_one(chi_y_from_chern(projective_space(dim))).coefficients
         odd.extend(a[j] - target[j] for j in range(1, dim + 1, 2))
     generated = [eq.polynomial for eq in system.equations]
@@ -259,7 +266,7 @@ def test_generated_a1_equation_matches_closed_form():
         )
         vector, _ = unknown_chern_vector(n, branch)
         target = a1_closed_form(projective_space(n))
-        closed = a1_closed_form(ManifoldModel(vector)) - target
+        closed = a1_closed_form(vector) - target
         assert a1_m == closed
 
 

@@ -3,13 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from chiy.chern import ChernVector, ManifoldModel, projective_space
+from chiy.chern import ChernVector, projective_space
 from chiy.genus import (
     ChiYPolynomial,
     HodgeDiamond,
     MinusOneExpansion,
     a1_closed_form,
-    chi_p_from_chern,
     chi_y_from_chern,
     chi_y_from_hodge,
     expand_at_minus_one,
@@ -50,7 +49,7 @@ def test_projective_expansion_is_binomial():
 
 def test_k3_surface_from_both_routes():
     # c_1 = 0, c_2 = 24; the diamond has h^{1,1} = 20
-    chern_route = chi_y_from_chern(ManifoldModel(ChernVector([0, 24])))
+    chern_route = chi_y_from_chern(ChernVector([0, 24]))
     diamond = HodgeDiamond([[1, 0, 1], [0, 20, 0], [1, 0, 1]])
     hodge_route = chi_y_from_hodge(diamond)
     assert chern_route.chi_p == (2, -20, 2)
@@ -58,32 +57,30 @@ def test_k3_surface_from_both_routes():
     expansion = expand_at_minus_one(chern_route)
     assert expansion.A(0) == 24  # Euler number
     assert expansion.A(1) == 2
-    assert expansion.A(1) == a1_closed_form(ManifoldModel(ChernVector([0, 24])))
+    assert expansion.A(1) == a1_closed_form(ChernVector([0, 24]))
     assert chern_route.evaluate(1) == -16  # signature of the K3 surface
 
 
 def test_p2_noether_value():
-    m = ManifoldModel(ChernVector([3, 3]))
-    chi = chi_y_from_chern(m)
+    c = ChernVector([3, 3])
+    chi = chi_y_from_chern(c)
     assert chi.chi_p[0] == 1
     assert expand_at_minus_one(chi).A(1) == 1
-    assert a1_closed_form(m) == 1
+    assert a1_closed_form(c) == 1
 
 
 def test_noether_formula_symbolic():
     # chi_0 of a surface is (c_1^2 + c_2)/12
     variables = ("c1", "c2")
     c1, c2 = MultivariatePolynomial.generators(variables)
-    m = ManifoldModel(ChernVector([c1, c2]))
-    assert chi_p_from_chern(m, 0) == (c1 * c1 + c2) / 12
+    assert chi_y_from_chern(ChernVector([c1, c2])).chi_p[0] == (c1 * c1 + c2) / 12
 
 
 def test_curve_of_genus_g_symbolic():
     # c_1 = 2 - 2g, so chi_0 = 1 - g and chi_1 = g - 1
     variables = ("g",)
     (g,) = MultivariatePolynomial.generators(variables)
-    m = ManifoldModel(ChernVector([2 - 2 * g]))
-    chi = chi_y_from_chern(m)
+    chi = chi_y_from_chern(ChernVector([2 - 2 * g]))
     assert chi.chi_p[0] == 1 - g
     assert chi.chi_p[1] == g - 1
 
@@ -109,9 +106,8 @@ def test_a1_closed_form_on_random_vectors():
     for n in range(2, 9):
         for _ in range(25):
             c = ChernVector([rng.randint(-10, 10) for _ in range(n)])
-            m = ManifoldModel(c)
-            expansion = expand_at_minus_one(chi_y_from_chern(m))
-            assert expansion.A(1) == a1_closed_form(m)
+            expansion = expand_at_minus_one(chi_y_from_chern(c))
+            assert expansion.A(1) == a1_closed_form(c)
 
 
 def test_first_order_coefficient_identity():
@@ -120,7 +116,7 @@ def test_first_order_coefficient_identity():
     for n in range(1, 8):
         for _ in range(10):
             c = ChernVector([rng.randint(-8, 8) for _ in range(n)])
-            expansion = expand_at_minus_one(chi_y_from_chern(ManifoldModel(c)))
+            expansion = expand_at_minus_one(chi_y_from_chern(c))
             assert expansion.coefficients[1] == Fraction(-n, 2) * c.scalar(n)
 
 
@@ -128,7 +124,7 @@ def test_euler_is_top_chern_number():
     rng = random.Random(17)
     for n in range(1, 8):
         c = ChernVector([rng.randint(-8, 8) for _ in range(n)])
-        expansion = expand_at_minus_one(chi_y_from_chern(ManifoldModel(c)))
+        expansion = expand_at_minus_one(chi_y_from_chern(c))
         assert expansion.A(0) == c.scalar(n)
 
 
@@ -237,7 +233,7 @@ def test_diamond_from_text_rejects_ragged_rows():
 def _symbolic_manifold(n):
     """The n-fold whose Chern entries are the generators c1..cn of one context."""
     names = tuple(f"c{i}" for i in range(1, n + 1))
-    return ManifoldModel(ChernVector(MultivariatePolynomial.generators(names)))
+    return ChernVector(MultivariatePolynomial.generators(names))
 
 
 def _assert_serre_symmetric(chi):
@@ -255,7 +251,7 @@ def test_serre_symmetry_on_random_rational_vectors():
             c = ChernVector(
                 [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(n)]
             )
-            _assert_serre_symmetric(chi_y_from_chern(ManifoldModel(c)))
+            _assert_serre_symmetric(chi_y_from_chern(c))
 
 
 @pytest.mark.parametrize("n", range(2, 8))

@@ -130,15 +130,6 @@ def test_restrict_refuses_to_drop_used_variable():
         (gen("c2") + gen("c3")).restrict(("c2",))
 
 
-def test_univariate_coefficients():
-    c2, c3 = gen("c2"), gen("c3")
-    p = c3 * c3 * c2 + 2 * c3 - 5
-    by_power = p.univariate_coefficients("c3")
-    assert by_power[0] == -5
-    assert by_power[1] == 2
-    assert by_power[2] == c2
-
-
 # -- degrees and queries -----------------------------------------------------
 
 
@@ -286,12 +277,6 @@ def test_substitute_evaluate_and_coefficients_agree_with_sympy(p, name, value, p
 
     value_at = S(p).evaluate([(gens[v], qq(q)) for v, q in point.items()])
     assert p.evaluate(point) == Fraction(int(value_at.numerator), int(value_at.denominator))
-
-    by_power = p.univariate_coefficients(name)
-    assert len(by_power) == max(S(p).degree(gens[name]), 0) + 1
-    for d, coefficient in enumerate(by_power):
-        assert name not in coefficient.used_variables()
-        assert S(coefficient) == S(p).coeff_wrt(gens[name], d)
 
 
 @settings(max_examples=60, deadline=None)

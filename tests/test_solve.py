@@ -532,6 +532,10 @@ def test_certificate_rejects_garbage():
              "candidates": [], "substitutions": []}
     assert not verify_certificate(system, empty)
     assert not verify_certificate(generate_system(5, Branch.STANDARD), empty)
+    # an exponent beyond the packed-key limit is malformed input, not a crash
+    huge = json.loads(classify(5, Branch.HALF).to_json())["certificate"]
+    huge["substitutions"][1]["expression"][0]["exponents"] = [70000, 0, 0]
+    assert not verify_certificate(system, huge)
 
 
 def test_inconsistency_certificate_replay():
@@ -544,20 +548,20 @@ def test_inconsistency_certificate_replay():
 
 
 def test_reports_are_deterministic(n7_half_report):
-    a = n7_half_report.to_json(include_timing=False)
-    b = classify(7, Branch.HALF).to_json(include_timing=False)
+    a = n7_half_report.to_json()
+    b = classify(7, Branch.HALF).to_json()
     assert a == b
 
 
 def test_reports_identical_across_worker_counts(n7_half_report):
     base = n7_half_report  # workers=1 is the default
     split = classify(7, Branch.HALF, config=SolverConfig(workers=4))
-    assert base.to_json(include_timing=False) == split.to_json(include_timing=False)
+    assert base.to_json() == split.to_json()
 
 
 def test_report_serializes_integers_as_strings():
     report = classify(5, Branch.STANDARD)
-    data = report.to_json_dict(include_timing=False)
+    data = report.to_json_dict()
     assert data["visited"] == str(report.visited)
     for solution in data["solutions"]:
         assert all(isinstance(v, str) for v in solution.values())
@@ -567,5 +571,4 @@ def test_report_serializes_integers_as_strings():
 
 def test_report_timing_toggle():
     report = classify(3, Branch.STANDARD)
-    assert "elapsed_ms" in report.to_json_dict(include_timing=True)
-    assert "elapsed_ms" not in report.to_json_dict(include_timing=False)
+    assert "elapsed_ms" not in report.to_json_dict()

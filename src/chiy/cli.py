@@ -295,9 +295,11 @@ def _cmd_table(args) -> int:
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
     elif args.format == "text":
         widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-        for row in rows:
-            lines.append("  ".join(v.ljust(w) for v, w in zip(row, widths)))
+        # no padding after the last non-empty cell, so no line ends in spaces
+        lines = [
+            "  ".join(v.ljust(w) for v, w in zip(row, widths)).rstrip()
+            for row in [header] + rows
+        ]
         _emit("\n".join(lines), args.output)
     else:
         buffer = io.StringIO()

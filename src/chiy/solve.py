@@ -5,8 +5,8 @@ carries its own burden of proof:
 
 * ``no_integer_solution`` only together with a machine-checkable certificate
   (a linear inconsistency witness, a variable forced to a non-integer, a
-  residual univariate polynomial with root-freeness evidence, or an
-  exhausted finite candidate set);
+  residual univariate polynomial with root-freeness evidence, an exhausted
+  finite candidate set, or a modulus with no common zero);
 * ``solutions`` only after every reported assignment has been re-substituted
   exactly into the original, pre-reduction system;
 * ``inconclusive`` otherwise, recording exactly which box was searched.
@@ -17,6 +17,14 @@ freshly generated system.  Root certificates replay by recomputation: the
 named equation of the original system, after the recorded substitutions,
 goes through :func:`univariate_integer_roots` again, and every recorded field
 of the analysis (variable, scale, coefficients, evidence) must match.
+
+A local obstruction is a prime power q <= 16 modulo which the residual
+equations, cleared of denominators, have no common zero; an integer solution
+would reduce to one modulo every q.  The residue search runs after the root
+analysis and before enumeration, when its worst case, the sum of q^k over the
+moduli for k free variables, is at most both the enumeration's driver count
+and the scan budget.  Replay rebuilds the residual system from the recorded
+substitutions and runs the same search for the recorded modulus.
 
 The reduction carries multiplier columns through Gaussian elimination, so
 a substitution like ``c3 = c2 + 23`` is not just an output but an identity
@@ -464,23 +472,13 @@ def bounded_enumerate(
     exactly the satisfying points of the box either way).
     """
     variables = system.variables
-    for name in variables:
-        if name not in bounds:
-            raise ValueError(f"no bounds for {name}")
-        lo, hi = bounds[name]
-        if lo > hi:
-            raise ValueError(f"empty bounds for {name}: {lo} > {hi}")
     polys = [eq.polynomial for eq in system.equations if eq.polynomial]
+    solved, scan = _scan_plan(polys, bounds, variables)
     for poly in polys:
         if poly.is_constant():
             return EnumerationOutcome((), 0)
 
-    solved = _choose_solved_variable(polys, bounds, variables)
     drivers = [v for v in variables if v != solved]  # all of them if none solvable
-    scan = 1
-    for v in drivers:
-        lo, hi = bounds[v]
-        scan *= hi - lo + 1
     if max_scan is not None and scan > max_scan:
         raise EnumerationBudget(scan, max_scan)
 
@@ -505,6 +503,24 @@ def bounded_enumerate(
 
     assignments.sort(key=lambda a: tuple(a[v] for v in variables))
     return EnumerationOutcome(tuple(assignments), visited)
+
+
+def _scan_plan(polys, bounds, variables) -> tuple[Optional[str], int]:
+    """Check the box; return the variable the enumeration solves for
+    exactly (None if there is none) and the number of driver points it scans."""
+    for name in variables:
+        if name not in bounds:
+            raise ValueError(f"no bounds for {name}")
+        lo, hi = bounds[name]
+        if lo > hi:
+            raise ValueError(f"empty bounds for {name}: {lo} > {hi}")
+    solved = _choose_solved_variable(polys, bounds, variables)
+    scan = 1
+    for v in variables:
+        if v != solved:
+            lo, hi = bounds[v]
+            scan *= hi - lo + 1
+    return solved, scan
 
 
 def _choose_solved_variable(polys, bounds, variables) -> Optional[str]:
@@ -604,6 +620,61 @@ def _enumerate_chunk(system, bounds, solved):
             if not violated(*args):
                 found.append(dict(zip(variables, args)))
     return found, visited
+
+
+# ---------------------------------------------------------------------------
+# local obstruction
+
+#: The prime powers up to 16, in increasing order.  By the Chinese remainder
+#: theorem a system with a zero modulo each of them has one modulo every
+#: m <= 16, so no other modulus in that range can add an obstruction.
+_LOCAL_MODULI = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+
+
+def _local_obstruction(polys, variables: Sequence[str], moduli) -> Optional[int]:
+    """The first of ``moduli`` modulo which the cleared integer forms of
+    ``polys`` have no common zero, or None when each modulus has one.
+
+    The polynomials must be nonconstant and use only ``variables``.  Residues
+    are assigned to the variables in order, depth first, and each equation is
+    checked as soon as its last variable has a value.  An integer solution
+    would give a common zero modulo every m, so an empty search proves that
+    none exists.
+    """
+    # the integer sources of the equations whose last variable is the j-th
+    levels: list[list[str]] = [[] for _ in variables]
+    for poly in polys:
+        depth = max(map(variables.index, poly.used_variables()))
+        position = {name: i for i, name in enumerate(poly.variables)}
+        levels[depth].append(
+            _term_source(poly.integer_terms(), variables[: depth + 1], position)
+        )
+    for q in moduli:
+        # truthy exactly when some equation checked at that depth is nonzero mod q
+        checks = [
+            _compile(" or ".join(f"{s} % {q}" for s in level), variables[: depth + 1])
+            if level
+            else None
+            for depth, level in enumerate(levels)
+        ]
+        if not _residue_zero_exists(checks, q, ()):
+            return q
+    return None
+
+
+def _residue_zero_exists(checks, q: int, values: tuple) -> bool:
+    """Whether the residues ``values`` of the first variables, which pass
+    their checks, extend to a common zero mod q; ``checks[j]`` tests the
+    equations whose last variable is the j-th."""
+    depth = len(values)
+    if depth == len(checks):
+        return True
+    check = checks[depth]
+    for v in range(q):
+        point = values + (v,)
+        if (check is None or not check(*point)) and _residue_zero_exists(checks, q, point):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +779,13 @@ _CERTIFICATE_SCHEMA = {
         {
             "properties": {"kind": {"const": "candidate_exhaustion"}},
             "required": ["variable", "equations", "candidates"],
+        },
+        {
+            "properties": {
+                "kind": {"const": "local_obstruction"},
+                "modulus": {"enum": list(_LOCAL_MODULI)},
+            },
+            "required": ["modulus"],
         },
     ],
 }
@@ -898,6 +976,22 @@ def _verify_certificate(system: EquationSystem, certificate: dict) -> bool:
         reduced = ReducedSystem(system, tuple(subs), (), (variable,), None)
         return not reduced.integer_solutions({variable: c} for c in candidates)
 
+    if kind == "local_obstruction":
+        # a listed modulus only, so a stored certificate cannot force a long walk
+        modulus = certificate["modulus"]
+        if not isinstance(modulus, int) or modulus not in _LOCAL_MODULI:
+            return False
+        substituted = {sub.variable for sub in subs}
+        residues = [_transform(eq.polynomial, subs, None) for eq in system.equations]
+        residues = [poly for poly in residues if poly]
+        for poly in residues:
+            # the substitutions must be the whole linear part, so the search
+            # runs on the residual system and never on the raw one
+            if poly.total_degree() <= 1 or poly.used_variables() & substituted:
+                return False
+        free = [v for v in variables if v not in substituted]
+        return _local_obstruction(residues, free, (modulus,)) == modulus
+
     return False
 
 
@@ -915,8 +1009,10 @@ def _default_bounds(system: EquationSystem, names) -> dict:
 
 
 def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) -> SearchReport:
-    """Reduce, then decide: certificate, exact roots, or bounded search."""
+    """Reduce, then decide: certificate, exact roots, residues, or bounded search."""
     config = config or SolverConfig()
+    if config.workers < 1:
+        raise ValueError(f"workers must be at least 1, got {config.workers}")
     unknown = sorted(set(config.bounds or ()) - set(system.variables))
     if unknown:
         raise ValueError(f"bounds given for unknown variables: {', '.join(unknown)}")
@@ -1020,6 +1116,25 @@ def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) 
         bounds.update(_default_bounds(system, missing))
     bounds = {name: bounds[name] for name in free}
 
+    # the residue search goes first when it costs no more than the box scan
+    polys = [res.polynomial for res in residual]
+    _, scan = _scan_plan(polys, bounds, free)
+    residue_note: tuple[str, ...] = ()
+    if sum(q ** len(free) for q in _LOCAL_MODULI) <= min(scan, config.max_scan):
+        modulus = _local_obstruction(polys, free, _LOCAL_MODULI)
+        if modulus is not None:
+            certificate = {
+                "kind": "local_obstruction",
+                "modulus": modulus,
+                "substitutions": [s.to_json_dict() for s in reduced.substitutions],
+            }
+            return finish(
+                SearchReport(
+                    VERDICT_NO_SOLUTION, system.variables, certificate=certificate, notes=notes
+                )
+            )
+        residue_note = ("no local obstruction modulo " + ", ".join(map(str, _LOCAL_MODULI)),)
+
     try:
         outcome = bounded_enumerate(
             reduced.residual_system(),
@@ -1033,7 +1148,7 @@ def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) 
                 VERDICT_INCONCLUSIVE,
                 system.variables,
                 bounds=bounds,
-                notes=notes + (str(budget),),
+                notes=notes + residue_note + (str(budget),),
             )
         )
 
@@ -1055,7 +1170,7 @@ def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) 
             system.variables,
             bounds=bounds,
             visited=outcome.visited,
-            notes=notes + ("box exhausted without integer solutions",),
+            notes=notes + residue_note + ("box exhausted without integer solutions",),
         )
     )
 

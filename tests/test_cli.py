@@ -233,6 +233,32 @@ def test_classify_custom_bounds_echoed(capsys):
         "c2": ["0", "5"], "c3": ["0", "5"], "c4": ["0", "5"]
     }
     assert payload["solutions"] == []
+    # 36 driver points cost less than the residue search, which does not run
+    assert payload["notes"] == ["box exhausted without integer solutions"]
+
+
+def test_classify_n7_half_is_decided(capsys):
+    code, out, _ = run(
+        capsys,
+        "classify", "--n", "7", "--branch", "half", "--expect", "no_integer_solution",
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    jsonschema.validate(payload, REPORT_SCHEMA)
+    assert payload["certificate"]["kind"] == "local_obstruction"
+    assert payload["certificate"]["modulus"] == 9
+    assert payload["bounds"] is None
+    assert payload["visited"] == "0"
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_classify_workers_below_one_is_usage_error(capsys, workers):
+    code, out, err = run(
+        capsys, "classify", "--n", "5", "--branch", "half", "--workers", workers
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "workers must be at least 1" in err
 
 
 def test_classify_malformed_bounds(capsys):
@@ -288,6 +314,17 @@ def test_table_text_aligns(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("n ")
     assert len(lines) == 4  # header + n in 2..4
+
+
+def test_table_text_has_no_trailing_whitespace(capsys):
+    code, out, _ = run(capsys, "table", "--format", "text")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert len(lines) == 19  # header + n in 2..19
+    assert all(line == line.rstrip() for line in lines)
+    # the columns still line up: every row starts its root_half cell where the header does
+    column = lines[0].index("root_half")
+    assert all(line[column - 2:column] == "  " and line[column] != " " for line in lines)
 
 
 @pytest.mark.parametrize("fmt, expected", [("csv", "n,"), ("text", "n  "), ("json", "[]")])

@@ -2,14 +2,18 @@
 
 The digests are SHA-256 of the exact stdout of ``chiy system --n N --branch B``
 for n = 3..13 on every valid branch, and of ``chiy classify --n N --branch B``
-for n = 3, 5 on both branches.  They were first recorded before the
-integer-numerator polynomial kernel replaced the ``Fraction`` one, and
+for n = 3, 5 on both branches and n = 7 on the half branch.  They were first
+recorded before the integer-numerator polynomial kernel replaced the
+``Fraction`` one, and
 re-recorded when the ``mode`` key was removed from the system and report
 schemas: that removal deletes the ``"mode": "ak"`` lines and changes no other
 byte.  The classify digests were re-recorded once more when the enumeration's
 per-candidate residue filter was deleted together with the report key that
 listed its primes: the report loses that key's block and keeps every other
-byte, and the system digests stayed as they were.
+byte, and the system digests stayed as they were.  The n = 7 half report
+joined when the residue search decided it: its verdict went from
+``inconclusive`` after a box scan to ``no_integer_solution`` with a
+``local_obstruction`` certificate modulo 9, and every other digest stayed.
 A change that is meant to alter these reports regenerates the digests
 and says why.
 """
@@ -47,6 +51,7 @@ CLASSIFY_DIGESTS = {
     (3, "half"): "b15aa6be8ac3fc49ba2a57ed7a0dcb9ff12785cee98f22226497f35ae0341723",
     (5, "standard"): "643486321b784ec0263fc898c55b302af9b0607aa6b7b44f83937f3505ac7dd5",
     (5, "half"): "f6c0bcbb9597de0559de4cc4559b3b8d994380f2137a72dcd23120e37049777c",
+    (7, "half"): "70078869852b59085bed393250f36f2e6c495fceb33bdbf04425926c888ba14d",
 }
 
 

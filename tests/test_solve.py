@@ -1,12 +1,14 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from chiy.fujita import Branch, Equation, EquationSystem, generate_system
 from chiy.polynomials import MultivariatePolynomial
+from chiy import solve
 from chiy.solve import (
     EnumerationBudget,
     SolverConfig,
@@ -547,16 +549,142 @@ def test_inconsistency_certificate_replay():
     assert not verify_certificate(system, bad)
 
 
+# -- local obstruction -------------------------------------------------------------------
+
+
+def _residue_points(system, modulus):
+    """Every point mod ``modulus`` at which all cleared equations of the
+    system vanish, by a plain scan over the whole residue box."""
+    equations = sorted(
+        ([(num % modulus, exps) for num, exps in eq.polynomial.integer_terms()]
+         for eq in system.equations),
+        key=len,
+    )
+    points = []
+    for point in itertools.product(range(modulus), repeat=len(system.variables)):
+        for terms in equations:
+            total = 0
+            for num, exps in terms:
+                for value, e in zip(point, exps):
+                    num *= value**e
+                total += num
+            if total % modulus:
+                break
+        else:
+            points.append(point)
+    return points
+
+
+def test_classify_n7_half_is_a_local_obstruction(n7_half_report):
+    report = n7_half_report
+    assert report.verdict == VERDICT_NO_SOLUTION
+    assert report.certificate["kind"] == "local_obstruction"
+    assert report.certificate["modulus"] == 9
+    # the proof covers every integer point, so no box and no visits
+    assert report.bounds is None
+    assert report.visited == 0
+    assert report.notes == ()
+    certificate = json.loads(report.to_json())["certificate"]
+    assert verify_certificate(generate_system(7, Branch.HALF), certificate)
+
+
+@pytest.mark.parametrize("n, modulus", [(7, 9), (5, 5)])
+def test_local_obstruction_agrees_with_a_plain_residue_scan(n, modulus):
+    system = generate_system(n, Branch.HALF)
+    # the original, unreduced system has no zero mod the modulus, and one mod 3
+    assert _residue_points(system, modulus) == []
+    assert _residue_points(system, 3)
+
+
+def test_local_obstruction_replay_rejects_tampering(n7_half_report):
+    system = generate_system(7, Branch.HALF)
+    good = json.loads(n7_half_report.to_json())["certificate"]
+    assert verify_certificate(system, good)
+    # a solvable modulus, and moduli outside the fixed list
+    for modulus in (3, 0, 1, 6, -9, 10**6, "9", 9.0, True):
+        bad = json.loads(json.dumps(good))
+        bad["modulus"] = modulus
+        assert not verify_certificate(system, bad), modulus
+    # a dropped substitution leaves a linear residue, so the search would not
+    # run on the residual system
+    for index in range(len(good["substitutions"])):
+        bad = json.loads(json.dumps(good))
+        del bad["substitutions"][index]
+        assert not verify_certificate(system, bad), index
+    bad = json.loads(json.dumps(good))
+    bad["substitutions"][0]["expression"][0]["coeff_num"] = "57"
+    assert not verify_certificate(system, bad)
+    bad = json.loads(json.dumps(good))
+    bad["substitutions"][1]["combination"][0][1] = "1"
+    assert not verify_certificate(system, bad)
+    # the standard system is solvable, binomial vector included
+    assert not verify_certificate(generate_system(7, Branch.STANDARD), good)
+
+
+def test_local_obstruction_on_a_small_system():
+    # squares are 0 or 1 mod 4, so x^2 + y^2 = 3 has no integer solution
+    system = system_of(X * X + Y * Y - 3)
+    wide = solve_system(system, SolverConfig(bounds={"x": (-500, 500), "y": (-500, 500)}))
+    assert wide.verdict == VERDICT_NO_SOLUTION
+    assert wide.certificate == {"kind": "local_obstruction", "modulus": 4, "substitutions": []}
+    assert verify_certificate(system, wide.certificate)
+    # a box of fewer than 2^2 + 3^2 + ... + 16^2 = 794 driver points is
+    # scanned instead, and proves nothing
+    narrow = solve_system(system, SolverConfig(bounds={"x": (-5, 5), "y": (-5, 5)}))
+    assert narrow.verdict == VERDICT_INCONCLUSIVE
+    assert narrow.notes == ("box exhausted without integer solutions",)
+
+
+def test_no_local_obstruction_is_noted_only_when_inconclusive():
+    # x*y = 1000003 (a prime) is solvable mod everything: x = 1, y = 1000003
+    system = system_of(X * Y - 1000003)
+    missed = solve_system(system, SolverConfig(bounds={"x": (2, 1000), "y": (0, 2 * 10**6)}))
+    assert missed.verdict == VERDICT_INCONCLUSIVE
+    assert missed.notes == (
+        "no local obstruction modulo 2, 3, 4, 5, 7, 8, 9, 11, 13, 16",
+        "box exhausted without integer solutions",
+    )
+    found = solve_system(system, SolverConfig(bounds={"x": (1, 1000), "y": (0, 2 * 10**6)}))
+    assert found.verdict == VERDICT_SOLUTIONS
+    assert found.solutions == ({"x": 1, "y": 1000003},)
+    assert found.notes == ()
+
+
+def test_planted_systems_never_enter_the_residue_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the residue search ran")
+
+    monkeypatch.setattr(solve, "_local_obstruction", refuse)
+    rng = random.Random(59)
+    for _ in range(40):
+        system, expected, bounds = planted_system(rng)
+        report = solve_system(system, SolverConfig(bounds=bounds))
+        assert list(report.solutions) == expected
+
+
+def test_workers_below_one_are_rejected():
+    system = system_of(X * X - 4, Y * Y - 9)
+    bounds = {"x": (-5, 5), "y": (-5, 5)}
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            solve_system(system, SolverConfig(bounds=bounds, workers=workers))
+
+
 def test_reports_are_deterministic(n7_half_report):
     a = n7_half_report.to_json()
     b = classify(7, Branch.HALF).to_json()
     assert a == b
 
 
-def test_reports_identical_across_worker_counts(n7_half_report):
-    base = n7_half_report  # workers=1 is the default
-    split = classify(7, Branch.HALF, config=SolverConfig(workers=4))
-    assert base.to_json() == split.to_json()
+def test_reports_identical_across_worker_counts():
+    # 41 * 41 = 1,681 driver points: fewer than the residue search would cost,
+    # so this box is enumerated, through the process pool when workers > 1
+    config = SolverConfig(bounds={"c2": (0, 40), "c3": (0, 40)})
+    serial = classify(7, Branch.HALF, config)
+    assert serial.verdict == VERDICT_INCONCLUSIVE
+    assert serial.bounds["c2"] == (0, 40) and serial.visited > 0
+    split = classify(7, Branch.HALF, replace(config, workers=4))
+    assert serial.to_json() == split.to_json()
 
 
 def test_report_serializes_integers_as_strings():

@@ -224,16 +224,18 @@ def _parse_bounds(text: str) -> dict:
     for piece in text.split(","):
         name, _, span = piece.partition("=")
         lo, _, hi = span.partition(":")
+        name = name.strip()
         if not name or not lo or not hi:
             raise ValueError(f"malformed bounds entry {piece!r}; expected var=lo:hi")
-        bounds[name.strip()] = (int(lo), int(hi))
+        if name in bounds:
+            raise ValueError(f"bounds for {name} given twice")
+        bounds[name] = (int(lo), int(hi))
     return bounds
 
 
 def _cmd_classify(args) -> int:
     config = SolverConfig(
         bounds=_parse_bounds(args.bounds) if args.bounds else None,
-        workers=args.workers,
         max_scan=args.max_scan,
     )
     report = classify(args.n, Branch(args.branch), config)
@@ -349,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--branch", choices=[b.value for b in Branch], required=True)
     p.add_argument("--bounds", help="override search box, e.g. c2=-100:100,c3=0:50")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--max-scan", type=int, default=50_000_000)
     p.add_argument(
         "--expect",

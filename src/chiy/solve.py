@@ -26,6 +26,14 @@ moduli for k free variables, is at most both the enumeration's driver count
 and the scan budget.  Replay rebuilds the residual system from the recorded
 substitutions and runs the same search for the recorded modulus.
 
+Bounded enumeration compiles, per call, one Python function that walks the
+box: a loop over the inner driver variable nested in one over the outer
+drivers' points, the solved variable taken from the integer zeros of its
+first equation (whose coefficients are split so the outer drivers' parts are
+computed once per outer point), and an exact check of every equation at
+every in-bound candidate.  Variables are named by position in the generated
+source, which sees no builtins, so no user string is ever compiled.
+
 The reduction carries multiplier columns through Gaussian elimination, so
 a substitution like ``c3 = c2 + 23`` is not just an output but an identity
 ``sum_i lambda_i * eq_i == c3 - (c2 + 23)`` over the (already substituted)
@@ -38,7 +46,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -435,32 +442,34 @@ class EnumerationOutcome:
     visited: int
 
 
-def _term_source(terms, arg_names: Sequence[str], position: dict) -> str:
-    """Python source of integer terms as a polynomial in ``arg_names`` (a
-    subset of the polynomial's variables; exponents of the others are
-    ignored)."""
+def _term_source(terms, names: Sequence[Optional[str]]) -> str:
+    """Python source of integer terms; ``names[i]`` is the source name of the
+    i-th variable, or None to ignore its exponent."""
     pieces = []
     for coeff, exps in terms:
-        factors = [f"({coeff})"]
-        for name in arg_names:
-            e = exps[position[name]]
-            if 0 < e <= 4:
+        factors = []
+        for name, e in zip(names, exps):
+            if name is None or not e:
+                continue
+            if e <= 4:
                 factors.extend([name] * e)
-            elif e > 4:
+            else:
                 factors.append(f"{name}**{e}")
-        pieces.append("*".join(factors))
+        if not factors or coeff not in (1, -1):
+            factors.insert(0, str(abs(coeff)))
+        pieces.append(("-" if coeff < 0 else "") + "*".join(factors))
     return f"({' + '.join(pieces) or '0'})"
 
 
-def _compile(body: str, arg_names: Sequence[str]):
-    src = f"lambda {', '.join(arg_names)}: {body}"
-    return eval(src, {"__builtins__": {}})  # noqa: S307 - generated from exact terms
+def _compile(body: str, arity: int):
+    """``lambda v0, ..., v{arity-1}: body``, without builtins."""
+    args = ", ".join(f"v{i}" for i in range(arity))
+    return eval(f"lambda {args}: {body}", {"__builtins__": {}})  # noqa: S307 - generated from exact terms
 
 
 def bounded_enumerate(
     system: EquationSystem,
     bounds: dict[str, tuple[int, int]],
-    workers: int = 1,
     max_scan: Optional[int] = None,
 ) -> EnumerationOutcome:
     """Exhaustive search of the integer box for assignments satisfying every
@@ -469,7 +478,8 @@ def bounded_enumerate(
     The box is the product of the per-variable bounds.  One variable may be
     solved exactly from an equation of degree <= 2 in it instead of being
     scanned (the result is filtered back to its bound, so the returned set is
-    exactly the satisfying points of the box either way).
+    exactly the satisfying points of the box either way).  Each call compiles
+    one scan function for its system, see :func:`_scan_source`.
     """
     variables = system.variables
     polys = [eq.polynomial for eq in system.equations if eq.polynomial]
@@ -477,32 +487,23 @@ def bounded_enumerate(
     for poly in polys:
         if poly.is_constant():
             return EnumerationOutcome((), 0)
-
-    drivers = [v for v in variables if v != solved]  # all of them if none solvable
     if max_scan is not None and scan > max_scan:
         raise EnumerationBudget(scan, max_scan)
 
-    if workers > 1 and drivers:
-        lo, hi = bounds[drivers[0]]
-        width = hi - lo + 1
-        chunk = -(-width // workers)
-        boxes = []
-        for start in range(lo, hi + 1, chunk):
-            sub_bounds = dict(bounds)
-            sub_bounds[drivers[0]] = (start, min(start + chunk - 1, hi))
-            boxes.append(sub_bounds)
-        jobs = len(boxes)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(_enumerate_chunk, [system] * jobs, boxes, [solved] * jobs)
-            )
-        assignments = [a for sub, _ in results for a in sub]
-        visited = sum(v for _, v in results)
-    else:
-        assignments, visited = _enumerate_chunk(system, bounds, solved)
-
-    assignments.sort(key=lambda a: tuple(a[v] for v in variables))
-    return EnumerationOutcome(tuple(assignments), visited)
+    namespace = {
+        "__builtins__": {},
+        "_quadratic": _quadratic_integer_roots,
+        "_dispatch": _solver_candidates,
+    }
+    exec(_scan_source(polys, variables, solved), namespace)  # noqa: S102 - generated from exact terms
+    ranges = [range(bounds[v][0], bounds[v][1] + 1) for v in variables]
+    solved_range = None if solved is None else ranges[variables.index(solved)]
+    drivers = [r for v, r in zip(variables, ranges) if v != solved]
+    outer = itertools.product(*drivers[:-1])
+    visited, found = namespace["_scan"](outer, drivers[-1] if drivers else None, solved_range)
+    namespace.clear()  # the scan's globals hold the scan: free the cycle now
+    found.sort()
+    return EnumerationOutcome(tuple(dict(zip(variables, point)) for point in found), visited)
 
 
 def _scan_plan(polys, bounds, variables) -> tuple[Optional[str], int]:
@@ -538,88 +539,153 @@ def _choose_solved_variable(polys, bounds, variables) -> Optional[str]:
     return best
 
 
-def _enumerate_chunk(system, bounds, solved):
-    variables = system.variables
-    polys = [eq.polynomial for eq in system.equations if eq.polynomial]
-    position = {name: i for i, name in enumerate(variables)}
-    # nonzero (truthy) exactly when some equation fails at the point
-    violated = _compile(
-        " or ".join(_term_source(p.integer_terms(), variables, position) for p in polys)
-        or "0",
-        variables,
-    )
-    found = []
-    visited = 0
+def _scan_source(polys, variables, solved) -> str:
+    """Source of ``_scan(_outer, _inner, _rs)``, which walks the driver points
+    (``_outer`` yields the values of every driver but the last, ``_inner`` is
+    the last one's range) and returns ``(visited, found)``: the number of
+    in-bound candidates checked exactly, and the points of the box, as tuples
+    in variable order, at which every equation vanishes.
+
+    Variables are named by position, ``v0, v1, ...``, so no user string
+    enters the source.  Without a solved variable every box point is checked.
+    Otherwise the solved variable takes the integer zeros, within ``_rs``, of
+    the first equation of lowest degree in it.  That equation's coefficients
+    are split by powers of the inner driver: the outer parts are computed once
+    per outer point and the inner ones by Horner.  Where its leading
+    coefficient vanishes, :func:`_solver_candidates` tries every equation.
+    Each in-bound candidate is checked exactly against every equation: those
+    without the solved variable by a guard in front of the candidates, once
+    per driver point, and the others at the candidate itself.
+    """
+    names = [f"v{i}" for i in range(len(variables))]
+    point = "".join(f"{name}, " for name in names)
+    terms = [p.integer_terms() for p in polys]
+    sources = [_term_source(t, names) for t in terms]
+    drivers = [i for i, v in enumerate(variables) if v != solved]
+    inner = drivers[-1] if drivers else None
+    lines = [
+        "def _scan(_outer, _inner, _rs):",
+        "    visited = 0",
+        "    _found = []",
+        f"    for {''.join(f'{names[i]}, ' for i in drivers[:-1]).rstrip() or '_'} in _outer:",
+    ]
+
+    def emit(depth: int, text: str):
+        lines.append("    " * depth + text)
 
     if solved is None:
-        # plain scan over the whole box
-        ranges = [range(bounds[v][0], bounds[v][1] + 1) for v in variables]
-        for values in itertools.product(*ranges):
-            visited += 1
-            if not violated(*values):
-                found.append(dict(zip(variables, values)))
-        return found, visited
+        depth = 2
+        if inner is not None:
+            emit(2, f"for {names[inner]} in _inner:")
+            depth = 3
+        emit(depth, "visited += 1")
+        if sources:
+            emit(depth, f"if {' or '.join(sources)}:")
+            emit(depth + 1, "continue")
+        emit(depth, f"_found.append(({point}))")
+        emit(1, "return visited, _found")
+        return "\n".join(lines) + "\n"
 
-    drivers = [v for v in variables if v != solved]
-    lo_s, hi_s = bounds[solved]
-    solved_pos = position[solved]
-    # split equations by whether they constrain the solved variable
-    driver_filters = []
-    solver_eqs = []  # (degree in solved, lambda of its coefficients lowest first)
-    for poly in polys:
-        d = poly.degree_in(solved)
-        if d == 0:
-            driver_filters.append(_term_source(poly.integer_terms(), drivers, position))
-            continue
-        # clear denominators once for the whole polynomial: scaling each
-        # coefficient independently would corrupt the root structure
-        by_power = [[] for _ in range(d + 1)]
-        for coeff, exps in poly.integer_terms():
-            by_power[exps[solved_pos]].append((coeff, exps))
-        coefficients = ", ".join(_term_source(t, drivers, position) for t in by_power)
-        solver_eqs.append((d, _compile(f"({coefficients},)", drivers)))
-    solver_eqs.sort(key=lambda item: item[0])
-    driver_violated = _compile(" or ".join(driver_filters) or "0", drivers)
+    slot = variables.index(solved)
+    degrees = [max(exps[slot] for _, exps in t) for t in terms]
+    guards = [source for source, d in zip(sources, degrees) if not d]
+    solver_sources = [source for source, d in zip(sources, degrees) if d]
+    # (degree in the solved variable, terms), lowest degree first
+    solver = sorted(((d, t) for t, d in zip(terms, degrees) if d), key=lambda item: item[0])
+    # the solved variable has degree 1 or 2 here, see _choose_solved_variable
+    degree = solver[0][0]
+    outer = drivers[:-1]
+    outer_names = [n if i in outer else None for i, n in enumerate(names)]
+    # parts[j][k]: the terms of the coefficient of solved^j with inner^k, all
+    # over the polynomial's one denominator (scaling each coefficient on its
+    # own would change the roots)
+    parts = [{} for _ in range(degree + 1)]
+    for coeff, exps in solver[0][1]:
+        k = 0 if inner is None else exps[inner]
+        parts[exps[slot]].setdefault(k, []).append((coeff, exps))
+    horner = []  # the coefficient of solved^j, by Horner in the inner driver
+    for j, by_power in enumerate(parts):
+        acc = None
+        for k in range(max(by_power, default=0), -1, -1):
+            term = None
+            if k in by_power:
+                term = _term_source(by_power[k], outer_names)
+                if any(exps[i] for _, exps in by_power[k] for i in outer):
+                    emit(2, f"_c{j}_{k} = {term}")  # once per outer point
+                    term = f"_c{j}_{k}"
+            if acc is None:
+                acc = term
+            else:
+                acc = f"({acc})*{names[inner]}" + (f" + {term}" if term else "")
+        horner.append(acc or "0")
+    lead_is_constant = all(
+        sum(exps) == degree for part in parts[degree].values() for _, exps in part
+    )
 
-    driver_ranges = [range(bounds[v][0], bounds[v][1] + 1) for v in drivers]
-    driver_pos = [position[v] for v in drivers]
-    args = [0] * len(variables)
-    for values in itertools.product(*driver_ranges):
-        if driver_violated(*values):
-            continue
-        candidates = None
-        for d, coefficients in solver_eqs:
-            cs = coefficients(*values)
-            top = len(cs) - 1
-            while top >= 0 and cs[top] == 0:
-                top -= 1
-            if top < 0:
-                continue  # vacuous for this driver point
-            if top == 0:
-                candidates = []
-                break
-            if top == 1:
-                b, a = cs[0], cs[1]
-                candidates = [-b // a] if b % a == 0 else []
-                break
-            if top == 2:
-                candidates = _quadratic_integer_roots(cs[0], cs[1], cs[2])[1] or ()
-                break
-            # degree >= 3: scan the solved variable against this equation
-            candidates = _integer_zeros(cs[: top + 1], range(lo_s, hi_s + 1))
-            break
-        if candidates is None:
-            candidates = range(lo_s, hi_s + 1)  # every equation vacuous here
-        for v in candidates:
-            if not lo_s <= v <= hi_s:
-                continue
-            visited += 1
-            for value, pos in zip(values, driver_pos):
-                args[pos] = value
-            args[solved_pos] = v
-            if not violated(*args):
-                found.append(dict(zip(variables, args)))
-    return found, visited
+    depth = 2
+    if inner is not None:
+        emit(2, f"for {names[inner]} in _inner:")
+        depth = 3
+    if guards:
+        emit(depth, f"if {' or '.join(guards)}:")
+        emit(depth + 1, "continue")
+    lead, inline = horner[degree], depth
+    if not lead_is_constant:
+        emit(depth, f"_a = {lead}")
+        emit(depth, "if _a:")
+        lead, inline = "_a", depth + 1
+    if degree == 1:
+        emit(inline, f"_b = {horner[0]}")
+        emit(inline, f"if _b % {lead}:")
+        emit(inline + 1, "continue")
+        emit(inline, f"_cands = (-_b // {lead},)")
+    else:
+        emit(inline, f"_cands = _quadratic({horner[0]}, {horner[1]}, {lead})[1] or ()")
+    if not lead_is_constant:
+        emit(depth, "else:")
+        emit(depth + 1, f"_cands = _dispatch(_solver, ({''.join(f'{names[i]}, ' for i in drivers)}), _rs)")
+    emit(depth, f"for {names[slot]} in _cands:")
+    emit(depth + 1, f"if {names[slot]} in _rs:")
+    emit(depth + 2, "visited += 1")
+    emit(depth + 2, f"if not ({' or '.join(solver_sources)}):")
+    emit(depth + 3, f"_found.append(({point}))")
+    emit(1, "return visited, _found")
+    if not lead_is_constant:
+        driver_names = [n if i in drivers else None for i, n in enumerate(names)]
+        args = ", ".join(names[i] for i in drivers)
+        emit(0, "_solver = (")
+        for d, t in solver:
+            by_power = [[] for _ in range(d + 1)]
+            for coeff, exps in t:
+                by_power[exps[slot]].append((coeff, exps))
+            coefficients = "".join(f"{_term_source(c, driver_names)}, " for c in by_power)
+            emit(1, f"lambda {args}: ({coefficients}),")
+        emit(0, ")")
+    return "\n".join(lines) + "\n"
+
+
+def _solver_candidates(solver, values, solved_range):
+    """Candidates for the solved variable at one driver point: the integer
+    zeros of the first solver equation whose coefficients there do not all
+    vanish, or the whole range when every one vanishes.  ``solver`` holds one
+    function per equation, giving its coefficients lowest degree first."""
+    for coefficients in solver:
+        cs = coefficients(*values)
+        top = len(cs) - 1
+        while top >= 0 and cs[top] == 0:
+            top -= 1
+        if top < 0:
+            continue  # vacuous for this driver point
+        if top == 0:
+            return ()
+        if top == 1:
+            b, a = cs[0], cs[1]
+            return (-b // a,) if b % a == 0 else ()
+        if top == 2:
+            return _quadratic_integer_roots(cs[0], cs[1], cs[2])[1] or ()
+        # degree >= 3: scan the solved variable against this equation
+        return _integer_zeros(cs[: top + 1], solved_range)
+    return solved_range
 
 
 # ---------------------------------------------------------------------------
@@ -641,18 +707,17 @@ def _local_obstruction(polys, variables: Sequence[str], moduli) -> Optional[int]
     would give a common zero modulo every m, so an empty search proves that
     none exists.
     """
-    # the integer sources of the equations whose last variable is the j-th
+    # the integer sources of the equations whose last variable is the j-th,
+    # with the j-th variable named v{j}
     levels: list[list[str]] = [[] for _ in variables]
     for poly in polys:
         depth = max(map(variables.index, poly.used_variables()))
-        position = {name: i for i, name in enumerate(poly.variables)}
-        levels[depth].append(
-            _term_source(poly.integer_terms(), variables[: depth + 1], position)
-        )
+        names = [f"v{variables.index(v)}" if v in variables else None for v in poly.variables]
+        levels[depth].append(_term_source(poly.integer_terms(), names))
     for q in moduli:
         # truthy exactly when some equation checked at that depth is nonzero mod q
         checks = [
-            _compile(" or ".join(f"{s} % {q}" for s in level), variables[: depth + 1])
+            _compile(" or ".join(f"{s} % {q}" for s in level), depth + 1)
             if level
             else None
             for depth, level in enumerate(levels)
@@ -686,8 +751,11 @@ class SolverConfig:
     """Budget and strategy knobs; everything is deterministic."""
 
     bounds: Optional[dict[str, tuple[int, int]]] = None
-    workers: int = 1
     max_scan: int = 50_000_000
+
+    def __post_init__(self):
+        if self.max_scan < 0:
+            raise ValueError(f"max_scan must be at least 0, got {self.max_scan}")
 
 
 @dataclass(frozen=True)
@@ -1011,8 +1079,6 @@ def _default_bounds(system: EquationSystem, names) -> dict:
 def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) -> SearchReport:
     """Reduce, then decide: certificate, exact roots, residues, or bounded search."""
     config = config or SolverConfig()
-    if config.workers < 1:
-        raise ValueError(f"workers must be at least 1, got {config.workers}")
     unknown = sorted(set(config.bounds or ()) - set(system.variables))
     if unknown:
         raise ValueError(f"bounds given for unknown variables: {', '.join(unknown)}")
@@ -1136,12 +1202,7 @@ def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) 
         residue_note = ("no local obstruction modulo " + ", ".join(map(str, _LOCAL_MODULI)),)
 
     try:
-        outcome = bounded_enumerate(
-            reduced.residual_system(),
-            bounds,
-            workers=config.workers,
-            max_scan=config.max_scan,
-        )
+        outcome = bounded_enumerate(reduced.residual_system(), bounds, max_scan=config.max_scan)
     except EnumerationBudget as budget:
         return finish(
             SearchReport(

@@ -206,9 +206,7 @@ def test_classify_inconclusive_exit(capsys):
 
 def test_classify_stdout_reproducible(capsys):
     _, first, _ = run(capsys, "classify", "--n", "5", "--branch", "half")
-    _, second, _ = run(
-        capsys, "classify", "--n", "5", "--branch", "half", "--workers", "2"
-    )
+    _, second, _ = run(capsys, "classify", "--n", "5", "--branch", "half")
     assert first == second
 
 
@@ -251,21 +249,22 @@ def test_classify_n7_half_is_decided(capsys):
     assert payload["visited"] == "0"
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_classify_workers_below_one_is_usage_error(capsys, workers):
-    code, out, err = run(
-        capsys, "classify", "--n", "5", "--branch", "half", "--workers", workers
-    )
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert "workers must be at least 1" in err
-
-
 def test_classify_malformed_bounds(capsys):
     code, _, _ = run(
         capsys, "classify", "--n", "5", "--branch", "half", "--bounds", "c2=oops"
     )
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--max-scan", "-5", "max_scan must be at least 0"),
+    ("--bounds", "c2=1:2,c2=3:4", "bounds for c2 given twice"),
+], ids=["negative-max-scan", "repeated-bounds"])
+def test_classify_bad_values_are_usage_errors(capsys, option, value, message):
+    code, out, err = run(capsys, "classify", "--n", "7", "--branch", "standard", option, value)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err
 
 
 def test_classify_bounds_for_unknown_variable(capsys):
@@ -350,6 +349,8 @@ def test_removed_options_are_usage_errors(capsys):
     argv = ("classify", "--n", "5", "--branch", "half", "--moduli", "2,3")
     assert run(capsys, *argv)[0] == EXIT_USAGE
     argv = ("classify", "--n", "5", "--branch", "half", "--bound-scale", "16")
+    assert run(capsys, *argv)[0] == EXIT_USAGE
+    argv = ("classify", "--n", "5", "--branch", "half", "--workers", "2")
     assert run(capsys, *argv)[0] == EXIT_USAGE
 
 

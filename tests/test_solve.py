@@ -1,7 +1,7 @@
 import itertools
 import json
+import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -232,15 +232,6 @@ def test_enumerate_matches_naive_scan():
         assert points == naive
 
 
-def test_enumerate_workers_partition_agrees():
-    rng = random.Random(47)
-    system, _, bounds = planted_system(rng)
-    serial = bounded_enumerate(system, bounds)
-    parallel = bounded_enumerate(system, bounds, workers=3)
-    assert serial.assignments == parallel.assignments
-    assert serial.visited == parallel.visited
-
-
 def test_enumerate_budget():
     system = system_of(X * X * X - Y * Y - 7)
     with pytest.raises(EnumerationBudget):
@@ -251,6 +242,151 @@ def test_enumerate_budget():
 def test_enumerate_requires_bounds_for_all_variables():
     with pytest.raises(ValueError):
         bounded_enumerate(system_of(X + Y), {"x": (0, 1)})
+
+
+def _box_scan(system, bounds):
+    """Every point of the box at which all equations vanish, by a plain scan
+    of the whole box over the cleared integer terms."""
+    equations = [eq.polynomial.integer_terms() for eq in system.equations]
+    names = system.variables
+    points = []
+    for point in itertools.product(*(range(bounds[v][0], bounds[v][1] + 1) for v in names)):
+        if all(
+            sum(num * math.prod(v**e for v, e in zip(point, exps)) for num, exps in terms) == 0
+            for terms in equations
+        ):
+            points.append(dict(zip(names, point)))
+    return points
+
+
+def _oracle_cases():
+    """``id -> (system, bounds, {forced solved variable: visited})``; the key
+    ``...`` is the solver's own choice, and each ``visited`` is the count the
+    enumeration reported before it was compiled into one scan function."""
+    x, y = MultivariatePolynomial.generators(("x", "y"))
+    (x1,) = MultivariatePolynomial.generators(("x",))
+    x3, y3, z3 = MultivariatePolynomial.generators(("x", "y", "z"))
+    w4, x4, y4, z4 = MultivariatePolynomial.generators(("w", "x", "y", "z"))
+    n7 = {b: linear_reduce(generate_system(7, b)).residual_system() for b in Branch}
+    cases = {
+        # contains the binomial vector (28, 56, 70)
+        "n7-standard": (
+            n7[Branch.STANDARD], {"c2": (20, 40), "c3": (50, 60), "c4": (60, 80)},
+            {"c2": 1, "c3": 1, "c4": 1, None: 4851},
+        ),
+        # the leading coefficient of A_2(M) in c4 vanishes on c3 = 5 c2 - 16
+        "n7-half": (
+            n7[Branch.HALF], {"c2": (0, 15), "c3": (-16, 59), "c4": (-4, 4)},
+            {"c2": 0, "c3": 0, "c4": 0, None: 10944},
+        ),
+        # solving y, the first equation vanishes at x = 2 and the cubic
+        # decides; solving x, it vanishes at y = 1 and the cubic is a guard
+        "vanishing-lead-cubic": (
+            system_of((x - 2) * (y - 1), y**3 - 7 * y + 6),
+            {"x": (-3, 6), "y": (-10, 10)}, {"x": 12, "y": 12, None: 210},
+        ),
+        # the quadratic in y turns linear at x = 2
+        "vanishing-lead-quadratic": (
+            system_of((x - 2) * y * y + y - x),
+            {"x": (-6, 6), "y": (-30, 30)}, {"x": 2, "y": 2, None: 793},
+        ),
+        # at x = 2 the first equation is the nonzero constant -1
+        "vanishing-lead-constant": (
+            system_of((x - 2) * y + x - 3, x * y - 6),
+            {"x": (-8, 8), "y": (-8, 8)}, {"x": 2, "y": 2, None: 289},
+        ),
+        # solving z, the first equation is a guard on the drivers x and y
+        "pure-driver": (
+            system_of(x3 * x3 - y3, z3 - x3 * y3, variables="xyz"),
+            {"x": (-4, 4), "y": (-5, 20), "z": (-70, 70)}, {...: 9},
+        ),
+        # two outer drivers, whose parts are computed once per (w, x, y)
+        "three-drivers": (
+            system_of((w4 - x4) * z4 + w4 * y4 - 2, z4 * z4 - w4 * w4 - x4 * x4 - y4 * y4 + 2,
+                      variables="wxyz"),
+            {"w": (-4, 4), "x": (-4, 4), "y": (-4, 4), "z": (-20, 20)}, {...: 326},
+        ),
+        # no variable has degree <= 2, so the whole box is scanned
+        "cubic-everywhere": (
+            system_of(x**3 - y**3 + x * y - 1), {"x": (-10, 10), "y": (-10, 10)}, {...: 441},
+        ),
+        "zero-drivers": (
+            system_of(x1 * x1 - 4, variables="x"), {"x": (-10, 10)}, {...: 2, None: 21},
+        ),
+        "one-variable-cubic": (
+            system_of((x1 - 3) * (x1 + 5) * x1, variables="x"), {"x": (-10, 10)}, {...: 21},
+        ),
+    }
+    for seed, visited in ((1, 2), (2, 1), (3, 1), (4, 1), (5, 4)):
+        system, _, bounds = planted_system(random.Random(seed))
+        cases[f"planted-{seed}"] = (system, bounds, {...: visited})
+    return cases
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    return {name: (system, bounds, visits, _box_scan(system, bounds))
+            for name, (system, bounds, visits) in _oracle_cases().items()}
+
+
+@pytest.mark.parametrize("name", list(_oracle_cases()))
+def test_enumerate_agrees_with_a_plain_box_scan(oracle_cases, monkeypatch, name):
+    system, bounds, visits, expected = oracle_cases[name]
+    choose = solve._choose_solved_variable
+    for solved, visited in visits.items():
+        if solved is not ...:
+            monkeypatch.setattr(solve, "_choose_solved_variable", lambda *args: solved)
+        out = bounded_enumerate(system, bounds)
+        monkeypatch.setattr(solve, "_choose_solved_variable", choose)
+        assert list(out.assignments) == expected, solved
+        assert out.visited == visited, solved
+
+
+def test_variable_names_never_enter_generated_code():
+    # an unused name once went verbatim into a generated lambda header, where
+    # it ran as a default-argument expression (here: ZeroDivisionError)
+    payload = "y=[].__class__.__mro__[1].__subclasses__().__len__()//0"
+    square = [
+        {"coeff_num": "1", "coeff_den": "1", "exponents": [2, 0]},
+        {"coeff_num": "-4", "coeff_den": "1", "exponents": [0, 0]},
+    ]
+    system = EquationSystem.from_json_dict(
+        {"n": None, "branch": None, "variables": ["x", payload],
+         "equations": [{"provenance": "eq0", "monomials": square}]}
+    )
+    bounds = {"x": (-5, 5), payload: (0, 1)}
+    expected = [{"x": x, payload: p} for x in (-2, 2) for p in (0, 1)]
+    assert list(bounded_enumerate(system, bounds).assignments) == expected
+    assert list(solve_system(system, SolverConfig(bounds=bounds)).solutions) == expected
+    with pytest.raises(ValueError, match="explicit bounds are required"):
+        solve_system(system)
+    # a used name goes through the residue search and its replay
+    x, y = MultivariatePolynomial.generators(("x", payload))
+    system = system_of(x * x + y * y - 3, variables=("x", payload))
+    report = solve_system(system, SolverConfig(bounds={"x": (-500, 500), payload: (-500, 500)}))
+    assert report.certificate["modulus"] == 4
+    assert verify_certificate(system, report.certificate)
+
+
+def test_variables_named_like_generated_code_names():
+    names = ("range", "zip", "_found")
+    r, z, f = MultivariatePolynomial.generators(names)
+    system = system_of(r * r - 4, z - r * f, f * f - 9, variables=names)
+    bounds = {"range": (-5, 5), "zip": (-10, 10), "_found": (-5, 5)}
+    expected = [
+        {"range": a, "zip": a * b, "_found": b} for a in (-2, 2) for b in (-3, 3)
+    ]
+    expected.sort(key=lambda p: tuple(p[v] for v in names))
+    assert list(bounded_enumerate(system, bounds).assignments) == expected
+    report = solve_system(system, SolverConfig(bounds=bounds))
+    assert report.verdict == VERDICT_SOLUTIONS
+    assert list(report.solutions) == expected
+
+
+def test_negative_scan_budget_is_rejected():
+    with pytest.raises(ValueError, match="max_scan must be at least 0"):
+        SolverConfig(max_scan=-5)
+    assert SolverConfig(max_scan=0).max_scan == 0
 
 
 # -- solve_system verdicts -----------------------------------------------------------
@@ -662,29 +798,10 @@ def test_planted_systems_never_enter_the_residue_search(monkeypatch):
         assert list(report.solutions) == expected
 
 
-def test_workers_below_one_are_rejected():
-    system = system_of(X * X - 4, Y * Y - 9)
-    bounds = {"x": (-5, 5), "y": (-5, 5)}
-    for workers in (0, -3):
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            solve_system(system, SolverConfig(bounds=bounds, workers=workers))
-
-
 def test_reports_are_deterministic(n7_half_report):
     a = n7_half_report.to_json()
     b = classify(7, Branch.HALF).to_json()
     assert a == b
-
-
-def test_reports_identical_across_worker_counts():
-    # 41 * 41 = 1,681 driver points: fewer than the residue search would cost,
-    # so this box is enumerated, through the process pool when workers > 1
-    config = SolverConfig(bounds={"c2": (0, 40), "c3": (0, 40)})
-    serial = classify(7, Branch.HALF, config)
-    assert serial.verdict == VERDICT_INCONCLUSIVE
-    assert serial.bounds["c2"] == (0, 40) and serial.visited > 0
-    split = classify(7, Branch.HALF, replace(config, workers=4))
-    assert serial.to_json() == split.to_json()
 
 
 def test_report_serializes_integers_as_strings():

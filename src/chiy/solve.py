@@ -28,11 +28,14 @@ substitutions and runs the same search for the recorded modulus.
 
 Bounded enumeration compiles, per call, one Python function that walks the
 box: a loop over the inner driver variable nested in one over the outer
-drivers' points, the solved variable taken from the integer zeros of its
-first equation (whose coefficients are split so the outer drivers' parts are
-computed once per outer point), and an exact check of every equation at
-every in-bound candidate.  Variables are named by position in the generated
-source, which sees no builtins, so no user string is ever compiled.
+drivers' points, and one candidate rule for the remaining variable.  Its
+candidates are the integer zeros of the first equation of lowest degree in
+it (whose coefficients are split so the outer drivers' parts are computed
+once per outer point), or its whole range where that equation vanishes
+identically or when no variable has degree 1 or 2 in any equation.  Every
+equation is checked exactly at every in-bound candidate.  Variables are
+named by position in the generated source, which sees no builtins, so no
+user string is ever compiled.
 
 The reduction carries multiplier columns through Gaussian elimination, so
 a substitution like ``c3 = c2 + 23`` is not just an output but an identity
@@ -352,20 +355,6 @@ def _quadratic_integer_roots(c0: int, c1: int, c2: int):
     return disc, sorted({num // (2 * c2) for num in (-c1 + s, -c1 - s) if num % (2 * c2) == 0})
 
 
-def _integer_zeros(coefficients, candidates) -> list[int]:
-    """The candidates at which the integer polynomial with the given
-    coefficients (lowest degree first) vanishes, by Horner evaluation."""
-    highest_first = coefficients[::-1]
-    zeros = []
-    for x in candidates:
-        acc = 0
-        for coeff in highest_first:
-            acc = acc * x + coeff
-        if acc == 0:
-            zeros.append(x)
-    return zeros
-
-
 def univariate_integer_roots(poly: MultivariatePolynomial) -> RootAnalysis:
     """All integer roots, with replay evidence.
 
@@ -428,7 +417,13 @@ def univariate_integer_roots(poly: MultivariatePolynomial) -> RootAnalysis:
         evidence["type"] = "divisors"
         evidence["constant"] = str(core[0])
         evidence["divisors"] = [str(d) for d in divisors]
-        roots.update(_integer_zeros(core, [x for d in divisors for x in (d, -d)]))
+        for d in divisors:
+            for x in (d, -d):
+                acc = 0  # Horner
+                for coeff in reversed(core):
+                    acc = acc * x + coeff
+                if acc == 0:
+                    roots.add(x)
     return RootAnalysis(variable, tuple(sorted(roots)), tuple(ints), scale, evidence)
 
 
@@ -471,6 +466,8 @@ def bounded_enumerate(
     system: EquationSystem,
     bounds: dict[str, tuple[int, int]],
     max_scan: Optional[int] = None,
+    *,
+    _plan: Optional[tuple[Optional[str], int]] = None,
 ) -> EnumerationOutcome:
     """Exhaustive search of the integer box for assignments satisfying every
     equation.
@@ -479,28 +476,27 @@ def bounded_enumerate(
     solved exactly from an equation of degree <= 2 in it instead of being
     scanned (the result is filtered back to its bound, so the returned set is
     exactly the satisfying points of the box either way).  Each call compiles
-    one scan function for its system, see :func:`_scan_source`.
+    one scan function for its system, see :func:`_scan_source`.  ``_plan`` is
+    :func:`_scan_plan` of this system and box when the caller has it already.
     """
     variables = system.variables
     polys = [eq.polynomial for eq in system.equations if eq.polynomial]
-    solved, scan = _scan_plan(polys, bounds, variables)
+    solved, scan = _plan or _scan_plan(polys, bounds, variables)
     for poly in polys:
         if poly.is_constant():
             return EnumerationOutcome((), 0)
     if max_scan is not None and scan > max_scan:
         raise EnumerationBudget(scan, max_scan)
+    if not variables:
+        return EnumerationOutcome(({},), 1)  # the box is one empty point
 
-    namespace = {
-        "__builtins__": {},
-        "_quadratic": _quadratic_integer_roots,
-        "_dispatch": _solver_candidates,
-    }
+    namespace = {"__builtins__": {}, "_quadratic": _quadratic_integer_roots}
     exec(_scan_source(polys, variables, solved), namespace)  # noqa: S102 - generated from exact terms
     ranges = [range(bounds[v][0], bounds[v][1] + 1) for v in variables]
-    solved_range = None if solved is None else ranges[variables.index(solved)]
-    drivers = [r for v, r in zip(variables, ranges) if v != solved]
+    slot = _candidate_slot(variables, solved)
+    drivers = ranges[:slot] + ranges[slot + 1 :]
     outer = itertools.product(*drivers[:-1])
-    visited, found = namespace["_scan"](outer, drivers[-1] if drivers else None, solved_range)
+    visited, found = namespace["_scan"](outer, drivers[-1] if drivers else None, ranges[slot])
     namespace.clear()  # the scan's globals hold the scan: free the cycle now
     found.sort()
     return EnumerationOutcome(tuple(dict(zip(variables, point)) for point in found), visited)
@@ -539,6 +535,12 @@ def _choose_solved_variable(polys, bounds, variables) -> Optional[str]:
     return best
 
 
+def _candidate_slot(variables, solved) -> int:
+    """The position of the scan's candidate variable: the solved one, or the
+    last one when none is solved."""
+    return len(variables) - 1 if solved is None else variables.index(solved)
+
+
 def _scan_source(polys, variables, solved) -> str:
     """Source of ``_scan(_outer, _inner, _rs)``, which walks the driver points
     (``_outer`` yields the values of every driver but the last, ``_inner`` is
@@ -547,22 +549,29 @@ def _scan_source(polys, variables, solved) -> str:
     in variable order, at which every equation vanishes.
 
     Variables are named by position, ``v0, v1, ...``, so no user string
-    enters the source.  Without a solved variable every box point is checked.
-    Otherwise the solved variable takes the integer zeros, within ``_rs``, of
-    the first equation of lowest degree in it.  That equation's coefficients
-    are split by powers of the inner driver: the outer parts are computed once
-    per outer point and the inner ones by Horner.  Where its leading
-    coefficient vanishes, :func:`_solver_candidates` tries every equation.
-    Each in-bound candidate is checked exactly against every equation: those
-    without the solved variable by a guard in front of the candidates, once
+    enters the source.  The candidate variable is the solved one, or the last
+    variable when none is solved; the others are the drivers, and ``_rs`` is
+    the candidate variable's range.  At each driver point the candidates are
+    the integer zeros, within ``_rs``, of one equation: the first of lowest
+    degree in the solved variable.  Its coefficients are split by powers of
+    the inner driver: the outer parts are computed once per outer point and
+    the inner ones by Horner.  Where its leading coefficient vanishes the next
+    one leads, and where the whole equation vanishes, as it does everywhere
+    without a solved variable, every value in ``_rs`` is a candidate.  Each
+    in-bound candidate is checked exactly against every equation: those
+    without the candidate variable by a guard in front of the candidates, once
     per driver point, and the others at the candidate itself.
     """
     names = [f"v{i}" for i in range(len(variables))]
     point = "".join(f"{name}, " for name in names)
     terms = [p.integer_terms() for p in polys]
     sources = [_term_source(t, names) for t in terms]
-    drivers = [i for i, v in enumerate(variables) if v != solved]
+    slot = _candidate_slot(variables, solved)
+    drivers = [i for i in range(len(variables)) if i != slot]
     inner = drivers[-1] if drivers else None
+    degrees = [max(exps[slot] for _, exps in t) for t in terms]
+    guards = [source for source, d in zip(sources, degrees) if not d]
+    checks = [source for source, d in zip(sources, degrees) if d]
     lines = [
         "def _scan(_outer, _inner, _rs):",
         "    visited = 0",
@@ -573,36 +582,21 @@ def _scan_source(polys, variables, solved) -> str:
     def emit(depth: int, text: str):
         lines.append("    " * depth + text)
 
-    if solved is None:
-        depth = 2
-        if inner is not None:
-            emit(2, f"for {names[inner]} in _inner:")
-            depth = 3
-        emit(depth, "visited += 1")
-        if sources:
-            emit(depth, f"if {' or '.join(sources)}:")
-            emit(depth + 1, "continue")
-        emit(depth, f"_found.append(({point}))")
-        emit(1, "return visited, _found")
-        return "\n".join(lines) + "\n"
-
-    slot = variables.index(solved)
-    degrees = [max(exps[slot] for _, exps in t) for t in terms]
-    guards = [source for source, d in zip(sources, degrees) if not d]
-    solver_sources = [source for source, d in zip(sources, degrees) if d]
-    # (degree in the solved variable, terms), lowest degree first
-    solver = sorted(((d, t) for t, d in zip(terms, degrees) if d), key=lambda item: item[0])
-    # the solved variable has degree 1 or 2 here, see _choose_solved_variable
-    degree = solver[0][0]
-    outer = drivers[:-1]
-    outer_names = [n if i in outer else None for i, n in enumerate(names)]
     # parts[j][k]: the terms of the coefficient of solved^j with inner^k, all
     # over the polynomial's one denominator (scaling each coefficient on its
-    # own would change the roots)
-    parts = [{} for _ in range(degree + 1)]
-    for coeff, exps in solver[0][1]:
-        k = 0 if inner is None else exps[inner]
-        parts[exps[slot]].setdefault(k, []).append((coeff, exps))
+    # own would change the roots); no parts without a solved variable
+    parts: list[dict] = []
+    if solved is not None:
+        # the solved variable has degree 1 or 2 here, see _choose_solved_variable
+        degree, first = min(
+            ((d, t) for t, d in zip(terms, degrees) if d), key=lambda item: item[0]
+        )
+        parts = [{} for _ in range(degree + 1)]
+        for coeff, exps in first:
+            k = 0 if inner is None else exps[inner]
+            parts[exps[slot]].setdefault(k, []).append((coeff, exps))
+    outer = drivers[:-1]
+    outer_names = [n if i in outer else None for i, n in enumerate(names)]
     horner = []  # the coefficient of solved^j, by Horner in the inner driver
     for j, by_power in enumerate(parts):
         acc = None
@@ -618,9 +612,34 @@ def _scan_source(polys, variables, solved) -> str:
             else:
                 acc = f"({acc})*{names[inner]}" + (f" + {term}" if term else "")
         horner.append(acc or "0")
-    lead_is_constant = all(
-        sum(exps) == degree for part in parts[degree].values() for _, exps in part
-    )
+
+    def candidates(j: int, depth: int):
+        """Emit ``_cands`` for the driver points at which the coefficients of
+        the solved variable's powers above j vanish."""
+        if j < 0:
+            emit(depth, "_cands = _rs")  # the equation vanishes identically
+            return
+        if not parts[j]:
+            candidates(j - 1, depth)  # a zero coefficient
+            return
+        constant = all(sum(exps) == j for part in parts[j].values() for _, exps in part)
+        lead, inline = horner[j], depth
+        if not constant:
+            emit(depth, f"_a = {lead}")
+            emit(depth, "if _a:")
+            lead, inline = "_a", depth + 1
+        if j == 2:
+            emit(inline, f"_cands = _quadratic({horner[0]}, {horner[1]}, {lead})[1] or ()")
+        elif j == 1:
+            emit(inline, f"_b = {horner[0]}")
+            emit(inline, f"if _b % {lead}:")
+            emit(inline + 1, "continue")
+            emit(inline, f"_cands = (-_b // {lead},)")
+        else:
+            emit(inline, "continue")  # a nonzero constant has no zeros
+        if not constant:
+            emit(depth, "else:")
+            candidates(j - 1, depth + 1)
 
     depth = 2
     if inner is not None:
@@ -629,63 +648,14 @@ def _scan_source(polys, variables, solved) -> str:
     if guards:
         emit(depth, f"if {' or '.join(guards)}:")
         emit(depth + 1, "continue")
-    lead, inline = horner[degree], depth
-    if not lead_is_constant:
-        emit(depth, f"_a = {lead}")
-        emit(depth, "if _a:")
-        lead, inline = "_a", depth + 1
-    if degree == 1:
-        emit(inline, f"_b = {horner[0]}")
-        emit(inline, f"if _b % {lead}:")
-        emit(inline + 1, "continue")
-        emit(inline, f"_cands = (-_b // {lead},)")
-    else:
-        emit(inline, f"_cands = _quadratic({horner[0]}, {horner[1]}, {lead})[1] or ()")
-    if not lead_is_constant:
-        emit(depth, "else:")
-        emit(depth + 1, f"_cands = _dispatch(_solver, ({''.join(f'{names[i]}, ' for i in drivers)}), _rs)")
+    candidates(len(parts) - 1, depth)
     emit(depth, f"for {names[slot]} in _cands:")
     emit(depth + 1, f"if {names[slot]} in _rs:")
     emit(depth + 2, "visited += 1")
-    emit(depth + 2, f"if not ({' or '.join(solver_sources)}):")
+    emit(depth + 2, f"if not ({' or '.join(checks) or '0'}):")
     emit(depth + 3, f"_found.append(({point}))")
     emit(1, "return visited, _found")
-    if not lead_is_constant:
-        driver_names = [n if i in drivers else None for i, n in enumerate(names)]
-        args = ", ".join(names[i] for i in drivers)
-        emit(0, "_solver = (")
-        for d, t in solver:
-            by_power = [[] for _ in range(d + 1)]
-            for coeff, exps in t:
-                by_power[exps[slot]].append((coeff, exps))
-            coefficients = "".join(f"{_term_source(c, driver_names)}, " for c in by_power)
-            emit(1, f"lambda {args}: ({coefficients}),")
-        emit(0, ")")
     return "\n".join(lines) + "\n"
-
-
-def _solver_candidates(solver, values, solved_range):
-    """Candidates for the solved variable at one driver point: the integer
-    zeros of the first solver equation whose coefficients there do not all
-    vanish, or the whole range when every one vanishes.  ``solver`` holds one
-    function per equation, giving its coefficients lowest degree first."""
-    for coefficients in solver:
-        cs = coefficients(*values)
-        top = len(cs) - 1
-        while top >= 0 and cs[top] == 0:
-            top -= 1
-        if top < 0:
-            continue  # vacuous for this driver point
-        if top == 0:
-            return ()
-        if top == 1:
-            b, a = cs[0], cs[1]
-            return (-b // a,) if b % a == 0 else ()
-        if top == 2:
-            return _quadratic_integer_roots(cs[0], cs[1], cs[2])[1] or ()
-        # degree >= 3: scan the solved variable against this equation
-        return _integer_zeros(cs[: top + 1], solved_range)
-    return solved_range
 
 
 # ---------------------------------------------------------------------------
@@ -756,6 +726,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_scan < 0:
             raise ValueError(f"max_scan must be at least 0, got {self.max_scan}")
+        for name, (lo, hi) in (self.bounds or {}).items():
+            if lo > hi:
+                raise ValueError(f"empty bounds for {name}: {lo} > {hi}")
 
 
 @dataclass(frozen=True)
@@ -1184,7 +1157,7 @@ def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) 
 
     # the residue search goes first when it costs no more than the box scan
     polys = [res.polynomial for res in residual]
-    _, scan = _scan_plan(polys, bounds, free)
+    solved, scan = _scan_plan(polys, bounds, free)
     residue_note: tuple[str, ...] = ()
     if sum(q ** len(free) for q in _LOCAL_MODULI) <= min(scan, config.max_scan):
         modulus = _local_obstruction(polys, free, _LOCAL_MODULI)
@@ -1202,7 +1175,9 @@ def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) 
         residue_note = ("no local obstruction modulo " + ", ".join(map(str, _LOCAL_MODULI)),)
 
     try:
-        outcome = bounded_enumerate(reduced.residual_system(), bounds, max_scan=config.max_scan)
+        outcome = bounded_enumerate(
+            reduced.residual_system(), bounds, max_scan=config.max_scan, _plan=(solved, scan)
+        )
     except EnumerationBudget as budget:
         return finish(
             SearchReport(

@@ -267,6 +267,19 @@ def test_classify_bad_values_are_usage_errors(capsys, option, value, message):
     assert message in err
 
 
+@pytest.mark.parametrize("branch, bounds, message", [
+    ("standard", "c2=5:1", "empty bounds for c2: 5 > 1"),
+    ("half", "c3=5:1", "empty bounds for c3: 5 > 1"),
+], ids=["standard", "half"])
+def test_classify_empty_bounds_are_usage_errors(capsys, branch, bounds, message):
+    # n = 5 is decided without a search on both branches, so the empty
+    # interval is caught when the configuration is made
+    code, out, err = run(capsys, "classify", "--n", "5", "--branch", branch, "--bounds", bounds)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err
+
+
 def test_classify_bounds_for_unknown_variable(capsys):
     code, out, err = run(
         capsys, "classify", "--n", "7", "--branch", "standard", "--bounds", "c9=0:5"

@@ -2,7 +2,7 @@
 
 The digests are SHA-256 of the exact stdout of ``chiy system --n N --branch B``
 for n = 3..13 on every valid branch, and of ``chiy classify --n N --branch B``
-for n = 3, 5 on both branches and n = 7 on the half branch.  They were first
+for n = 3, 5, 7 on both branches.  They were first
 recorded before the integer-numerator polynomial kernel replaced the
 ``Fraction`` one, and
 re-recorded when the ``mode`` key was removed from the system and report
@@ -14,6 +14,10 @@ byte, and the system digests stayed as they were.  The n = 7 half report
 joined when the residue search decided it: its verdict went from
 ``inconclusive`` after a box scan to ``no_integer_solution`` with a
 ``local_obstruction`` certificate modulo 9, and every other digest stayed.
+The n = 7 standard report, the only shipped one decided by box enumeration
+(it finds the binomial vector and reports its ``visited`` count), joined as
+recorded before the scan's candidates came from one equation only; its bytes
+did not change with that.
 A change that is meant to alter these reports regenerates the digests
 and says why.
 """
@@ -51,6 +55,7 @@ CLASSIFY_DIGESTS = {
     (3, "half"): "b15aa6be8ac3fc49ba2a57ed7a0dcb9ff12785cee98f22226497f35ae0341723",
     (5, "standard"): "643486321b784ec0263fc898c55b302af9b0607aa6b7b44f83937f3505ac7dd5",
     (5, "half"): "f6c0bcbb9597de0559de4cc4559b3b8d994380f2137a72dcd23120e37049777c",
+    (7, "standard"): "69fdca50b22ee2b983595e2e664049458a811bbd088604af6367eb247472a6af",
     (7, "half"): "70078869852b59085bed393250f36f2e6c495fceb33bdbf04425926c888ba14d",
 }
 

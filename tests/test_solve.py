@@ -261,8 +261,11 @@ def _box_scan(system, bounds):
 
 def _oracle_cases():
     """``id -> (system, bounds, {forced solved variable: visited})``; the key
-    ``...`` is the solver's own choice, and each ``visited`` is the count the
-    enumeration reported before it was compiled into one scan function."""
+    ``...`` is the solver's own choice and ``None`` forces a scan without a
+    solved variable.  Each ``visited`` pins the number of in-bound candidates
+    the scan checks: at each driver point they are the zeros of the first
+    equation of lowest degree in the solved variable, or its whole range
+    where that equation vanishes identically or no variable is solved."""
     x, y = MultivariatePolynomial.generators(("x", "y"))
     (x1,) = MultivariatePolynomial.generators(("x",))
     x3, y3, z3 = MultivariatePolynomial.generators(("x", "y", "z"))
@@ -279,11 +282,12 @@ def _oracle_cases():
             n7[Branch.HALF], {"c2": (0, 15), "c3": (-16, 59), "c4": (-4, 4)},
             {"c2": 0, "c3": 0, "c4": 0, None: 10944},
         ),
-        # solving y, the first equation vanishes at x = 2 and the cubic
-        # decides; solving x, it vanishes at y = 1 and the cubic is a guard
+        # solving y, the first equation vanishes at x = 2, so all 21 values
+        # of y are candidates there; solving x, it vanishes at y = 1 and the
+        # cubic is a guard
         "vanishing-lead-cubic": (
             system_of((x - 2) * (y - 1), y**3 - 7 * y + 6),
-            {"x": (-3, 6), "y": (-10, 10)}, {"x": 12, "y": 12, None: 210},
+            {"x": (-3, 6), "y": (-10, 10)}, {"x": 12, "y": 30, None: 210},
         ),
         # the quadratic in y turns linear at x = 2
         "vanishing-lead-quadratic": (
@@ -300,16 +304,25 @@ def _oracle_cases():
             system_of(x3 * x3 - y3, z3 - x3 * y3, variables="xyz"),
             {"x": (-4, 4), "y": (-5, 20), "z": (-70, 70)}, {...: 9},
         ),
-        # two outer drivers, whose parts are computed once per (w, x, y)
+        # two outer drivers, whose parts are computed once per (w, x, y); the
+        # first equation vanishes at the four points w = x, w y = 2, where
+        # all 41 values of z are candidates
         "three-drivers": (
             system_of((w4 - x4) * z4 + w4 * y4 - 2, z4 * z4 - w4 * w4 - x4 * x4 - y4 * y4 + 2,
                       variables="wxyz"),
-            {"w": (-4, 4), "x": (-4, 4), "y": (-4, 4), "z": (-20, 20)}, {...: 326},
+            {"w": (-4, 4), "x": (-4, 4), "y": (-4, 4), "z": (-20, 20)}, {...: 486},
         ),
         # no variable has degree <= 2, so the whole box is scanned
         "cubic-everywhere": (
             system_of(x**3 - y**3 + x * y - 1), {"x": (-10, 10), "y": (-10, 10)}, {...: 441},
         ),
+        # no variable has degree <= 2; y takes its whole range, but only at
+        # x = 2, the one value the guard x^3 - 8 lets through
+        "cubic-guard": (
+            system_of(x**3 - 8, x**3 + y**3 - 9), {"x": (-5, 5), "y": (-5, 5)}, {...: 11},
+        ),
+        # the box of no variables is the one empty point
+        "no-variables": (system_of(variables=()), {}, {...: 1}),
         "zero-drivers": (
             system_of(x1 * x1 - 4, variables="x"), {"x": (-10, 10)}, {...: 2, None: 21},
         ),

@@ -23,7 +23,9 @@ equations, cleared of denominators, have no common zero; an integer solution
 would reduce to one modulo every q.  The residue search runs after the root
 analysis and before enumeration, when its worst case, the sum of q^k over the
 moduli for k free variables, is at most both the enumeration's driver count
-and the scan budget.  Replay rebuilds the residual system from the recorded
+and the scan budget, for at most 20 free variables: it compiles one function
+per system, one loop over the residues per free variable, with the modulus as
+its argument.  Replay rebuilds the residual system from the recorded
 substitutions and runs the same search for the recorded modulus.
 
 Bounded enumeration compiles, per call, one Python function that walks the
@@ -33,9 +35,10 @@ candidates are the integer zeros of the first equation of lowest degree in
 it (whose coefficients are split so the outer drivers' parts are computed
 once per outer point), or its whole range where that equation vanishes
 identically or when no variable has degree 1 or 2 in any equation.  Every
-equation is checked exactly at every in-bound candidate.  Variables are
-named by position in the generated source, which sees no builtins, so no
-user string is ever compiled.
+equation is checked exactly at every in-bound candidate.  In the source of
+both searches variables are named by position, and it sees no builtins, so
+no user string is ever compiled.  Solutions outside a requested interval,
+an eliminated variable's included, are dropped from the report.
 
 The reduction carries multiplier columns through Gaussian elimination, so
 a substitution like ``c3 = c2 + 23`` is not just an output but an identity
@@ -77,22 +80,13 @@ class SoundnessError(RuntimeError):
 class EnumerationBudget(Exception):
     """The requested box is larger than the configured scan budget."""
 
-    def __init__(self, required: int, budget: int):
-        super().__init__(f"scan of {required} candidates exceeds budget {budget}")
-        self.required = required
-        self.budget = budget
-
 
 class RootSearchOverflow(Exception):
     """Divisor enumeration refused: the constant term is too large to factor."""
 
 
-def _fr(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
 def _fr_str(value: Fraction) -> str:
-    value = _fr(value)
+    value = value if isinstance(value, Fraction) else Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -153,9 +147,7 @@ class ReducedSystem:
 
     def extend(self, free_assignment) -> dict[str, Fraction]:
         """Complete an assignment of the free variables to all variables."""
-        values: dict[str, Fraction] = {
-            name: _fr(v) for name, v in free_assignment.items()
-        }
+        values = {name: Fraction(v) for name, v in free_assignment.items()}
         for sub in reversed(self.substitutions):
             values[sub.variable] = sub.expression.evaluate(values)
         return values
@@ -379,9 +371,7 @@ def univariate_integer_roots(poly: MultivariatePolynomial) -> RootAnalysis:
     ints = [0] * (poly.degree_in(variable) + 1)
     for num, exps in poly.integer_terms():
         ints[exps[idx]] = num
-    content = 0
-    for c in ints:
-        content = math.gcd(content, c)
+    content = math.gcd(*ints)
     if ints[-1] < 0:
         content = -content
     ints = [c // content for c in ints]
@@ -456,10 +446,13 @@ def _term_source(terms, names: Sequence[Optional[str]]) -> str:
     return f"({' + '.join(pieces) or '0'})"
 
 
-def _compile(body: str, arity: int):
-    """``lambda v0, ..., v{arity-1}: body``, without builtins."""
-    args = ", ".join(f"v{i}" for i in range(arity))
-    return eval(f"lambda {args}: {body}", {"__builtins__": {}})  # noqa: S307 - generated from exact terms
+def _load(source: str, name: str, **helpers):
+    """The function ``name`` defined by generated ``source``, which sees no
+    builtins, only ``helpers``.  Popping it leaves its globals without a
+    reference back to it, so no cycle outlives the call."""
+    namespace = {"__builtins__": {}, **helpers}
+    exec(source, namespace)  # noqa: S102 - generated from exact terms
+    return namespace.pop(name)
 
 
 def bounded_enumerate(
@@ -486,18 +479,17 @@ def bounded_enumerate(
         if poly.is_constant():
             return EnumerationOutcome((), 0)
     if max_scan is not None and scan > max_scan:
-        raise EnumerationBudget(scan, max_scan)
+        raise EnumerationBudget(f"scan of {scan} candidates exceeds budget {max_scan}")
     if not variables:
         return EnumerationOutcome(({},), 1)  # the box is one empty point
 
-    namespace = {"__builtins__": {}, "_quadratic": _quadratic_integer_roots}
-    exec(_scan_source(polys, variables, solved), namespace)  # noqa: S102 - generated from exact terms
+    source = _scan_source(polys, variables, solved)
+    walk = _load(source, "_scan", _quadratic=_quadratic_integer_roots)
     ranges = [range(bounds[v][0], bounds[v][1] + 1) for v in variables]
     slot = _candidate_slot(variables, solved)
     drivers = ranges[:slot] + ranges[slot + 1 :]
     outer = itertools.product(*drivers[:-1])
-    visited, found = namespace["_scan"](outer, drivers[-1] if drivers else None, ranges[slot])
-    namespace.clear()  # the scan's globals hold the scan: free the cycle now
+    visited, found = walk(outer, drivers[-1] if drivers else None, ranges[slot])
     found.sort()
     return EnumerationOutcome(tuple(dict(zip(variables, point)) for point in found), visited)
 
@@ -667,15 +659,22 @@ def _scan_source(polys, variables, solved) -> str:
 _LOCAL_MODULI = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 
+#: The residue search nests one loop per free variable, and Python 3.10-3.12
+#: refuse more than 20 ("too many statically nested blocks"): neither the
+#: search nor its replay runs on more variables.
+_MAX_RESIDUE_VARIABLES = 20
+
+
 def _local_obstruction(polys, variables: Sequence[str], moduli) -> Optional[int]:
     """The first of ``moduli`` modulo which the cleared integer forms of
     ``polys`` have no common zero, or None when each modulus has one.
 
-    The polynomials must be nonconstant and use only ``variables``.  Residues
-    are assigned to the variables in order, depth first, and each equation is
-    checked as soon as its last variable has a value.  An integer solution
-    would give a common zero modulo every m, so an empty search proves that
-    none exists.
+    The polynomials must be nonconstant and use only ``variables``, at most
+    ``_MAX_RESIDUE_VARIABLES`` of them.  Each call compiles ``_zero(q)``: one
+    loop over the residues mod q per variable, in order, each skipping the
+    residues at which an equation whose last variable it sets is nonzero.
+    An integer solution would give a common zero modulo every m, so an empty
+    search proves that none exists.
     """
     # the integer sources of the equations whose last variable is the j-th,
     # with the j-th variable named v{j}
@@ -684,32 +683,17 @@ def _local_obstruction(polys, variables: Sequence[str], moduli) -> Optional[int]
         depth = max(map(variables.index, poly.used_variables()))
         names = [f"v{variables.index(v)}" if v in variables else None for v in poly.variables]
         levels[depth].append(_term_source(poly.integer_terms(), names))
-    for q in moduli:
-        # truthy exactly when some equation checked at that depth is nonzero mod q
-        checks = [
-            _compile(" or ".join(f"{s} % {q}" for s in level), depth + 1)
-            if level
-            else None
-            for depth, level in enumerate(levels)
-        ]
-        if not _residue_zero_exists(checks, q, ()):
-            return q
-    return None
-
-
-def _residue_zero_exists(checks, q: int, values: tuple) -> bool:
-    """Whether the residues ``values`` of the first variables, which pass
-    their checks, extend to a common zero mod q; ``checks[j]`` tests the
-    equations whose last variable is the j-th."""
-    depth = len(values)
-    if depth == len(checks):
-        return True
-    check = checks[depth]
-    for v in range(q):
-        point = values + (v,)
-        if (check is None or not check(*point)) and _residue_zero_exists(checks, q, point):
-            return True
-    return False
+    lines = ["def _zero(q):"]
+    for j, level in enumerate(levels):
+        indent = "    " * (j + 1)
+        lines.append(f"{indent}for v{j} in _range(q):")
+        if level:
+            lines.append(f"{indent}    if {' or '.join(f'{s} % q' for s in level)}:")
+            lines.append(f"{indent}        continue")
+    lines.append("    " * (len(levels) + 1) + "return True")
+    lines.append("    return False")
+    zero = _load("\n".join(lines) + "\n", "_zero", _range=range)
+    return next((q for q in moduli if not zero(q)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -1031,6 +1015,8 @@ def _verify_certificate(system: EquationSystem, certificate: dict) -> bool:
             if poly.total_degree() <= 1 or poly.used_variables() & substituted:
                 return False
         free = [v for v in variables if v not in substituted]
+        if len(free) > _MAX_RESIDUE_VARIABLES:
+            return False
         return _local_obstruction(residues, free, (modulus,)) == modulus
 
     return False
@@ -1052,7 +1038,8 @@ def _default_bounds(system: EquationSystem, names) -> dict:
 def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) -> SearchReport:
     """Reduce, then decide: certificate, exact roots, residues, or bounded search."""
     config = config or SolverConfig()
-    unknown = sorted(set(config.bounds or ()) - set(system.variables))
+    requested = config.bounds or {}
+    unknown = sorted(set(requested) - set(system.variables))
     if unknown:
         raise ValueError(f"bounds given for unknown variables: {', '.join(unknown)}")
     start = time.perf_counter()
@@ -1067,6 +1054,17 @@ def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) 
     )
 
     def finish(report: SearchReport) -> SearchReport:
+        # reduction and root analysis ignore the intervals: drop what lies outside
+        found = report.solutions
+        kept = tuple(s for s in found if all(a <= s[v] <= b for v, (a, b) in requested.items()))
+        if kept != found:
+            note = f"dropped {len(found) - len(kept)} of {len(found)} solutions outside the bounds"
+            report = replace(
+                report,
+                verdict=VERDICT_SOLUTIONS if kept else VERDICT_INCONCLUSIVE,
+                solutions=kept,
+                notes=report.notes + (note,),
+            )
         _audit(system, report)
         return replace(
             report,
@@ -1149,7 +1147,7 @@ def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) 
         except RootSearchOverflow as refusal:
             notes = (f"root analysis refused: {refusal}; fell back to bounded enumeration",)
 
-    bounds = dict(config.bounds or {})
+    bounds = dict(requested)
     missing = [name for name in free if name not in bounds]
     if missing:
         bounds.update(_default_bounds(system, missing))
@@ -1159,7 +1157,8 @@ def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) 
     polys = [res.polynomial for res in residual]
     solved, scan = _scan_plan(polys, bounds, free)
     residue_note: tuple[str, ...] = ()
-    if sum(q ** len(free) for q in _LOCAL_MODULI) <= min(scan, config.max_scan):
+    cost = sum(q ** len(free) for q in _LOCAL_MODULI)
+    if len(free) <= _MAX_RESIDUE_VARIABLES and cost <= min(scan, config.max_scan):
         modulus = _local_obstruction(polys, free, _LOCAL_MODULI)
         if modulus is not None:
             certificate = {

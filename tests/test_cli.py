@@ -280,6 +280,24 @@ def test_classify_empty_bounds_are_usage_errors(capsys, branch, bounds, message)
     assert message in err
 
 
+@pytest.mark.parametrize("n, bounds, solution", [
+    (7, "c5=0:1", {"c2": "28", "c3": "56", "c4": "70", "c5": "56", "c6": "28"}),
+    (5, "c2=0:1", {"c2": "15", "c3": "20", "c4": "15"}),
+], ids=["eliminated-c5", "root-analysis-c2"])
+def test_classify_drops_solutions_outside_the_bounds(capsys, n, bounds, solution):
+    # linear reduction eliminates c5 at n = 7 and root analysis decides n = 5,
+    # so neither search sees the interval; the binomial vector found lies
+    # outside it and is dropped
+    argv = ("classify", "--n", str(n), "--branch", "standard")
+    assert json.loads(run(capsys, *argv)[1])["solutions"] == [solution]
+    code, out, _ = run(capsys, *argv, "--bounds", bounds)
+    assert code == EXIT_INCONCLUSIVE
+    report = json.loads(out)
+    assert report["verdict"] == "inconclusive"
+    assert report["solutions"] == []
+    assert report["notes"][-1] == "dropped 1 of 1 solutions outside the bounds"
+
+
 def test_classify_bounds_for_unknown_variable(capsys):
     code, out, err = run(
         capsys, "classify", "--n", "7", "--branch", "standard", "--bounds", "c9=0:5"

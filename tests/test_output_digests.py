@@ -2,7 +2,7 @@
 
 The digests are SHA-256 of the exact stdout of ``chiy system --n N --branch B``
 for n = 3..13 on every valid branch, and of ``chiy classify --n N --branch B``
-for n = 3, 5, 7 on both branches.  They were first
+for n = 3, 5, 7 on both branches and n = 9 on the half branch.  They were first
 recorded before the integer-numerator polynomial kernel replaced the
 ``Fraction`` one, and
 re-recorded when the ``mode`` key was removed from the system and report
@@ -18,6 +18,10 @@ The n = 7 standard report, the only shipped one decided by box enumeration
 (it finds the binomial vector and reports its ``visited`` count), joined as
 recorded before the scan's candidates came from one equation only; its bytes
 did not change with that.
+The n = 9 half report, decided by a ``local_obstruction`` certificate modulo
+13 and the only shipped verdict whose residue search runs over five free
+variables, joined as recorded before that search was compiled into one
+function per system; its bytes did not change with that.
 A change that is meant to alter these reports regenerates the digests
 and says why.
 """
@@ -57,6 +61,7 @@ CLASSIFY_DIGESTS = {
     (5, "half"): "f6c0bcbb9597de0559de4cc4559b3b8d994380f2137a72dcd23120e37049777c",
     (7, "standard"): "69fdca50b22ee2b983595e2e664049458a811bbd088604af6367eb247472a6af",
     (7, "half"): "70078869852b59085bed393250f36f2e6c495fceb33bdbf04425926c888ba14d",
+    (9, "half"): "b95be29946a961fe564ae0972db32d25dd518eaf0d54d56739e817394ce083bb",
 }
 
 

@@ -509,6 +509,16 @@ def test_nonintegral_forced_point_is_inconclusive():
     assert "not integral" in report.notes[0]
 
 
+def test_solutions_outside_the_requested_bounds_are_dropped():
+    # root analysis finds both roots of x^2 - 4 whatever the box
+    system = system_of(X * X - 4, variables=("x",))
+    assert solve_system(system).solutions == ({"x": -2}, {"x": 2})
+    report = solve_system(system, SolverConfig(bounds={"x": (0, 10)}))
+    assert report.verdict == VERDICT_SOLUTIONS
+    assert report.solutions == ({"x": 2},)
+    assert report.notes == ("dropped 1 of 2 solutions outside the bounds",)
+
+
 # -- planted-system recovery ----------------------------------------------------------
 
 
@@ -743,6 +753,56 @@ def test_local_obstruction_agrees_with_a_plain_residue_scan(n, modulus):
     # the original, unreduced system has no zero mod the modulus, and one mod 3
     assert _residue_points(system, modulus) == []
     assert _residue_points(system, 3)
+
+
+def _residue_oracle_systems():
+    x, y, z = MultivariatePolynomial.generators(("x", "y", "z"))
+    yield from (
+        pytest.param(linear_reduce(generate_system(n, branch)).residual_system(),
+                     id=f"residual-{n}-{branch.value}")
+        for n in (5, 7)
+        for branch in Branch
+    )
+    yield pytest.param(system_of(X * X + Y * Y - 3), id="sum-of-two-squares")
+    yield pytest.param(system_of(X * Y - 1000003), id="prime-product")
+    # one equation whose last variable is each of x, y, z; mod 2 the first two
+    # force x = y = 1 and the third then has no zero
+    yield pytest.param(
+        system_of(x * x + x, x * y - 2 * y * y + 3, x * y * z + z**3 - 6 * x + 1,
+                  variables=("x", "y", "z")),
+        id="equation-at-each-depth",
+    )
+
+
+@pytest.mark.parametrize("system", _residue_oracle_systems())
+def test_local_obstruction_matches_a_plain_residue_scan_per_modulus(system):
+    polys = [eq.polynomial for eq in system.equations]
+    for q in solve._LOCAL_MODULI:
+        obstructed = solve._local_obstruction(polys, system.variables, (q,)) == q
+        assert obstructed == (_residue_points(system, q) == []), q
+
+
+def test_residue_search_stops_at_the_nesting_limit():
+    # Python 3.10-3.12 compile at most 20 nested loops: 20 variables are
+    # searched, 21 never are
+    names = tuple(f"x{i}" for i in range(21))
+    gens = MultivariatePolynomial.generators(names)
+    odd = 2 * gens[0] * gens[0] - 1  # no zero mod 2, found at the first loop
+    assert solve._local_obstruction([odd], names[:20], (2,)) == 2
+
+    squares = MultivariatePolynomial.zero(names)
+    for g in gens[1:]:
+        squares = squares + g * g
+    system = EquationSystem(names, (Equation("odd", 2 * gens[0] * gens[0] + 4 * squares - 1),))
+    # the old gate, sum of q^21 <= min(box scan, max_scan), is open here
+    gate = sum(q ** len(names) for q in solve._LOCAL_MODULI)
+    bounds = {name: (-10, 10) for name in names}
+    report = solve_system(system, SolverConfig(bounds=bounds, max_scan=gate))
+    assert report.verdict == VERDICT_INCONCLUSIVE
+    assert report.notes == (f"scan of {21**20} candidates exceeds budget {gate}",)
+    # the certificate is true (the equation is odd), but replay refuses it
+    certificate = {"kind": "local_obstruction", "modulus": 2, "substitutions": []}
+    assert not verify_certificate(system, certificate)
 
 
 def test_local_obstruction_replay_rejects_tampering(n7_half_report):

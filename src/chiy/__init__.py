@@ -10,7 +10,6 @@ backed by replayable certificates or exhaustive bounded search.
 from .chern import (
     ChernVector,
     chern_to_power_sums,
-    exp_alphabet_power_sums,
     power_sums_to_elementary,
     projective_space,
     todd_class,
@@ -106,7 +105,6 @@ __all__ = [
     "classify",
     "dichotomy_residual",
     "dichotomy_roots",
-    "exp_alphabet_power_sums",
     "expand_at_minus_one",
     "forced_values",
     "generate_system",

@@ -8,8 +8,7 @@ scalar multiplying x^k.
 
 Newton's identities convert between Chern entries (elementary symmetric
 functions of the formal roots) and power sums.  From power sums one obtains
-the power sums of the exponential alphabet {exp(t * root)} and the Todd
-class exp(sum t_m p_m x^m), where the t_m are the coefficients of
+the Todd class exp(sum t_m p_m x^m), where the t_m are the coefficients of
 log(x / (1 - e^{-x})).  Everything is exact and works unchanged for rational
 or polynomial scalars.
 """
@@ -94,26 +93,6 @@ def power_sums_to_elementary(power_sums, rank: int) -> list:
             acc = term if acc is None else acc + term
         e.append(acc / k)
     return e
-
-
-def exp_alphabet_power_sums(c: ChernVector, t, rank: int) -> list[TruncatedSeries]:
-    """Power sums P_1, ..., P_rank of the alphabet {exp(t * root)}.
-
-    P_k = sum_i exp(t k root_i) = sum_m (t k)^m p_m x^m / m!, where p_0 equals
-    the fiber rank (n for the tangent bundle) and p_m are the root power sums.
-    Components above degree n are truncated away.
-    """
-    if rank < 0:
-        raise ValueError("rank must be non-negative")
-    t = Fraction(t) if isinstance(t, int) else t
-    p = chern_to_power_sums(c)
-    out = []
-    for k in range(1, rank + 1):
-        components = [Fraction(rank)]
-        for m in range(1, c.n + 1):
-            components.append((t * k) ** m / math.factorial(m) * p[m - 1])
-        out.append(TruncatedSeries(c.n, components))
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -73,6 +73,8 @@ def _emit(text: str, output: Optional[str]):
 
 
 def _cmd_pn_verify(args) -> int:
+    if args.max_n < 1:
+        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
     lines = []
     first_failure = None
     for n in range(1, args.max_n + 1):
@@ -135,7 +137,7 @@ def _render_chi_y(chi: ChiYPolynomial) -> str:
 
 def _cmd_genus(args) -> int:
     a1_check = None
-    if args.chern:
+    if args.chern is not None:
         try:
             entries = [Fraction(part) for part in args.chern.split(",")]
         except ZeroDivisionError:

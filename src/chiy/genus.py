@@ -4,9 +4,13 @@ chi_p(M) is the Euler characteristic of the sheaf of holomorphic p-forms;
 the chi_y genus is the generating polynomial sum_p chi_p y^p.  Two routes
 are implemented and deliberately kept independent:
 
-* from Chern data, via Hirzebruch-Riemann-Roch: chi_p is the integral of
-  ch(Omega^p) Td(M), where ch(Omega^p) is the p-th elementary symmetric
-  function of the alphabet {exp(-root)};
+* from Chern data, via Hirzebruch-Riemann-Roch: chi_y is the integral of
+  prod_i (1 + y e^{-x_i}) x_i / (1 - e^{-x_i}) over the formal roots x_i.
+  The logarithm of that product is n log(1+y) + sum_m s_m(y) p_m, with p_m
+  the power sums of the roots, so chi_y is a fixed rational combination
+  sum_lambda W_lambda(y) p_lambda of the power-sum Chern numbers
+  p_lambda = prod p_m over the partitions lambda of n.  The weights do not
+  depend on the manifold: one table per dimension is built and cached;
 * from a Hodge diamond, via the signed column sums chi_p = sum_q (-1)^q h^{p,q}.
 
 The expansion of chi_y in powers of (y + 1) packages the genus into the
@@ -21,15 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
 
-from .chern import (
-    ChernVector,
-    exp_alphabet_power_sums,
-    power_sums_to_elementary,
-    todd_class,
-)
-from .series import TruncatedSeries
+from .chern import ChernVector, _todd_log_coefficients, chern_to_power_sums
 
 
 @dataclass(frozen=True)
@@ -157,25 +157,76 @@ class HodgeDiamond:
         return cls.from_text(Path(path).read_text())
 
 
-def _pair_top(a: TruncatedSeries, b: TruncatedSeries):
-    # The integral of a*b is its x^n scalar under the normalization
-    # x^n[M] = 1; only that component is needed, so avoid the full product.
-    n = a.order
-    acc = a.coefficients[0] * b.coefficients[n]
-    for j in range(1, n + 1):
-        acc = acc + a.coefficients[j] * b.coefficients[n - j]
-    return acc
+def _partition_products(n: int, factor, one):
+    """Yield each partition of n, parts non-increasing and depth first, with
+    the product factor(...factor(one, m_1)..., m_k) over its parts m_i.  A
+    prefix shared by several partitions has its product computed once."""
+
+    def walk(rest, largest, parts, product):
+        if not rest:
+            yield parts, product
+        for m in range(min(rest, largest), 0, -1):
+            yield from walk(rest - m, m, parts + (m,), factor(product, m))
+
+    return walk(n, n, (), one)
+
+
+@lru_cache(maxsize=None)
+def _weight_table(n: int):
+    """Map each partition lambda of n to the coefficients (chi_0, ..., chi_n)
+    of W_lambda(y) = (1+y)^n prod_m s_m(y)^{k_m} / k_m!, where k_m counts
+    the parts m and s_m = t_m + [x^m] log(1 + y e^{-x}).
+
+    As sum_m m k_m = n, W_lambda = prod_m r_m^{k_m} / k_m! with
+    r_m = (1+y)^m s_m.  Since 1 + y e^{-x} = (1+y)(1 - y u / (1+y)) with
+    u = 1 - e^{-x}, r_m(y) = t_m (1+y)^m - sum_k [x^m] u^k / k * y^k (1+y)^{m-k}
+    is a polynomial of degree <= m in y.  The products are formed on integer
+    numerators over one denominator per partition.
+    """
+    t = _todd_log_coefficients(n)
+    r = [[t[0]]]
+    stirling = [1]  # S(m, k) for k = 0..m, Stirling numbers of the second kind
+    for m in range(1, n + 1):
+        stirling = [k * a + b for k, a, b in zip(range(m + 1), stirling + [0], [0] + stirling)]
+        # w[k] = m! [x^m] u^k / k, as u^k / k! = sum_m (-1)^(m-k) S(m, k) x^m / m!
+        w = [0] + [(-1) ** (m - k) * math.factorial(k - 1) * stirling[k] for k in range(1, m + 1)]
+        # m! times the y^q coefficient of sum_k [x^m] u^k / k * y^k (1+y)^{m-k}
+        tail = [sum(w[k] * math.comb(m - k, q - k) for k in range(q + 1)) for q in range(m + 1)]
+        r.append(
+            [t[m] * math.comb(m, q) - Fraction(tail[q], math.factorial(m)) for q in range(m + 1)]
+        )
+    scale = [math.lcm(*(c.denominator for c in row)) for row in r]
+    numerators = [[int(c * d) for c in row] for row, d in zip(r, scale)]
+
+    def factor(product, m):
+        coefficients, den = product
+        out = [0] * (len(coefficients) + m)
+        for i, a in enumerate(coefficients):
+            for j, b in enumerate(numerators[m]):
+                out[i + j] += a * b
+        return out, den * scale[m]
+
+    table = {}
+    for parts, (coefficients, den) in _partition_products(n, factor, ([1], 1)):
+        for m in set(parts):
+            den *= math.factorial(parts.count(m))
+        table[parts] = tuple(Fraction(c, den) for c in coefficients)
+    return MappingProxyType(table)
 
 
 def chi_y_from_chern(c: ChernVector) -> ChiYPolynomial:
-    """chi_p via Hirzebruch-Riemann-Roch for every p at once, sharing the
-    alphabet and the Todd class.  The Chern characters of Omega^p are the
-    elementary symmetric functions of the alphabet {exp(-root)}."""
+    """chi_p via Hirzebruch-Riemann-Roch for every p at once: the cached
+    weights of each partition lambda of n times the power-sum Chern number
+    p_lambda of ``c``, summed."""
     n = c.n
-    power = exp_alphabet_power_sums(c, Fraction(-1), n)
-    omega = [TruncatedSeries.one(n)] + power_sums_to_elementary(power, n)
-    todd = todd_class(c)
-    return ChiYPolynomial(tuple(_pair_top(omega[p], todd) for p in range(n + 1)))
+    p = chern_to_power_sums(c)
+    table = _weight_table(n)
+    chi = [0] * (n + 1)
+    for parts, p_lambda in _partition_products(n, lambda acc, m: acc * p[m - 1], 1):
+        for i, w in enumerate(table[parts]):
+            if w:
+                chi[i] = chi[i] + p_lambda * w
+    return ChiYPolynomial(tuple(chi))
 
 
 def chi_y_from_hodge(h: HodgeDiamond) -> ChiYPolynomial:

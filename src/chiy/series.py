@@ -12,7 +12,7 @@ rational scalar.  Two rings are used throughout this package: plain
 one is in play, so numeric and symbolic computations share one code path.
 
 The Bernoulli convention is the one attached to x/(e^x - 1), i.e.
-B_1 = -1/2.  All objects are immutable and safe to share across workers.
+B_1 = -1/2.  All objects are immutable.
 """
 
 from __future__ import annotations

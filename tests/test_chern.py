@@ -7,7 +7,6 @@ import pytest
 from chiy.chern import (
     ChernVector,
     chern_to_power_sums,
-    exp_alphabet_power_sums,
     power_sums_to_elementary,
     projective_space,
     todd_class,
@@ -65,28 +64,6 @@ def test_newton_round_trip_symbolic():
     p = chern_to_power_sums(c)
     e = power_sums_to_elementary(list(p), rank=3)
     assert tuple(e) == tuple(gens)
-
-
-# -- exponential alphabets ----------------------------------------------------
-
-
-def test_exp_alphabet_on_p1():
-    # two formal roots summing to 2x, specialized with t = -1:
-    # P_1 = sum of e^{-root} = 2 - 2x after truncation at order 1
-    c = projective_space(1)
-    p = exp_alphabet_power_sums(c, t=Fraction(-1), rank=2)
-    assert p[0].coefficients == (Fraction(2), Fraction(-2))
-    # P_2 doubles the exponent: 2 - 4x
-    assert p[1].coefficients == (Fraction(2), Fraction(-4))
-
-
-def test_exp_alphabet_rank_only_enters_degree_zero():
-    c = projective_space(2)
-    a = exp_alphabet_power_sums(c, t=Fraction(-1), rank=3)
-    b = exp_alphabet_power_sums(c, t=Fraction(-1), rank=5)
-    for k in range(len(a)):
-        assert a[k].coefficients[0] == 3 and b[k].coefficients[0] == 5
-        assert a[k].coefficients[1:] == b[k].coefficients[1:]
 
 
 # -- Todd classes -------------------------------------------------------------

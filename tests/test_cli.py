@@ -58,6 +58,15 @@ def test_pn_verify_detects_corruption(capsys, monkeypatch):
     assert sum("FAIL" in line for line in out.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_pn_verify_without_dimensions_is_usage_error(capsys, max_n):
+    # a verification that checks nothing must not report success
+    code, out, err = run(capsys, "pn-verify", "--max-n", max_n)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"--max-n must be at least 1, got {max_n}" in err
+
+
 # -- genus ---------------------------------------------------------------------
 
 
@@ -108,6 +117,15 @@ def test_genus_zero_denominator_is_usage_error(capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("chiy: error:")
+
+
+def test_genus_empty_chern_is_usage_error(capsys):
+    # an empty --chern is a malformed entry, not a request for the Hodge route
+    code, out, err = run(capsys, "genus", "--chern", "")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("chiy: error:")
+    assert "Traceback" not in err
 
 
 def test_genus_output_file(capsys, tmp_path):

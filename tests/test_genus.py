@@ -1,13 +1,23 @@
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from chiy.chern import ChernVector, projective_space
+from chiy.chern import (
+    ChernVector,
+    chern_to_power_sums,
+    power_sums_to_elementary,
+    projective_space,
+    todd_class,
+)
+from chiy.fujita import Branch, adjunction_chern, unknown_chern_vector
 from chiy.genus import (
     ChiYPolynomial,
     HodgeDiamond,
     MinusOneExpansion,
+    _weight_table,
     a1_closed_form,
     chi_y_from_chern,
     chi_y_from_hodge,
@@ -15,6 +25,7 @@ from chiy.genus import (
     pinned_products,
 )
 from chiy.polynomials import MultivariatePolynomial
+from chiy.series import TruncatedSeries
 
 
 # -- frozen anchor values ------------------------------------------------------
@@ -281,3 +292,72 @@ def test_libgober_wood_locality_symbolic():
             assert excess <= max(0, 2 * (j // 2) - 1), (n, j, str(a))
             worst[j] = max(worst[j], excess)
     assert worst == [0, 0, 1, 1, 3, 3, 5, 5]
+
+
+# -- the weight table against the Newton recurrence ------------------------------
+
+
+def _newton_chi_p(c):
+    """chi_p = [x^n] ch(Omega^p) Td by the Newton recurrence on the power sums
+    P_k = sum_i e^{-k root_i} of the alphabet {e^{-root}}; it shares no code
+    with the partition weights of chi_y_from_chern."""
+    n = c.n
+    p = chern_to_power_sums(c)
+    alphabet = [
+        TruncatedSeries(
+            n, [n] + [(-k) ** m * p[m - 1] / math.factorial(m) for m in range(1, n + 1)]
+        )
+        for k in range(1, n + 1)
+    ]
+    omega = [TruncatedSeries.one(n)] + power_sums_to_elementary(alphabet, n)
+    todd = todd_class(c).coefficients
+    return tuple(sum(w.coefficients[j] * todd[n - j] for j in range(n + 1)) for w in omega)
+
+
+def test_weight_table_matches_newton_recurrence_on_random_rational_vectors():
+    rng = random.Random(29)
+    for n in range(1, 11):
+        for _ in range(30):
+            c = ChernVector(
+                [Fraction(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(n)]
+            )
+            chi = chi_y_from_chern(c).chi_p
+            assert all(isinstance(value, Fraction) for value in chi)
+            assert chi == _newton_chi_p(c), (n, c)
+
+
+@pytest.mark.parametrize(
+    "n, branch",
+    [(n, b) for n in range(3, 10) for b in Branch if b.valid_for(n)],
+    ids=lambda value: getattr(value, "value", value),
+)
+def test_weight_table_matches_newton_recurrence_on_generated_systems(n, branch):
+    # the symbolic M and D vectors that generate_system equates
+    chern_m, _ = unknown_chern_vector(n, branch)
+    for c in (chern_m, adjunction_chern(chern_m)):
+        chi = chi_y_from_chern(c).chi_p
+        assert all(isinstance(value, MultivariatePolynomial) for value in chi)
+        assert chi == _newton_chi_p(c), (n, branch, c.n)
+
+
+@lru_cache(maxsize=None)
+def _partitions(n):
+    """Every partition of n as a non-increasing tuple, from all compositions."""
+    if n == 0:
+        return frozenset({()})
+    return frozenset(
+        tuple(sorted((m,) + rest, reverse=True))
+        for m in range(1, n + 1)
+        for rest in _partitions(n - m)
+    )
+
+
+def test_weight_table_is_keyed_by_the_partitions_of_n():
+    counts = []
+    for n in range(1, 16):
+        table = _weight_table(n)
+        assert set(table) == _partitions(n)
+        assert all(type(weights) is tuple and len(weights) == n + 1 for weights in table.values())
+        assert _weight_table(n) is table  # built once per dimension
+        counts.append(len(table))
+    assert counts == [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176]

@@ -40,6 +40,7 @@ from .genus import (
     chi_y_from_chern,
     chi_y_from_hodge,
     expand_at_minus_one,
+    minus_one_coefficients,
     pinned_products,
 )
 from .polynomials import MultivariatePolynomial
@@ -109,6 +110,7 @@ __all__ = [
     "forced_values",
     "generate_system",
     "linear_reduce",
+    "minus_one_coefficients",
     "parity_admissible",
     "pinned_products",
     "power_sums_to_elementary",

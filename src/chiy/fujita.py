@@ -34,9 +34,9 @@ from typing import Optional
 from .chern import ChernVector
 from .genus import (
     HodgeDiamond,
-    chi_y_from_chern,
     chi_y_from_hodge,
     expand_at_minus_one,
+    minus_one_coefficients,
 )
 from .polynomials import MultivariatePolynomial
 
@@ -298,8 +298,8 @@ def generate_system(n: int, branch: Branch) -> EquationSystem:
     chern_m, variables = unknown_chern_vector(n, branch)
     chern_d = adjunction_chern(chern_m)
 
-    a_m = expand_at_minus_one(chi_y_from_chern(chern_m)).coefficients
-    a_d = expand_at_minus_one(chi_y_from_chern(chern_d)).coefficients
+    a_m = minus_one_coefficients(chern_m, range(2, n + 1, 2))
+    a_d = minus_one_coefficients(chern_d, range(0, n, 2))
     target_m = _projective_expansion(n)
     target_d = _projective_expansion(n - 1)
 

@@ -10,7 +10,10 @@ are implemented and deliberately kept independent:
   the power sums of the roots, so chi_y is a fixed rational combination
   sum_lambda W_lambda(y) p_lambda of the power-sum Chern numbers
   p_lambda = prod p_m over the partitions lambda of n.  The weights do not
-  depend on the manifold: one table per dimension is built and cached;
+  depend on the manifold: one table per dimension is built and cached, in
+  the (y+1)-basis, on integer numerators over one denominator.  A caller
+  asks for the coefficients a_j it needs, each an integer combination of
+  the p_lambda, and chi_p is read back from all of them;
 * from a Hodge diamond, via the signed column sums chi_p = sum_q (-1)^q h^{p,q}.
 
 The expansion of chi_y in powers of (y + 1) packages the genus into the
@@ -30,6 +33,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .chern import ChernVector, _todd_log_coefficients, chern_to_power_sums
+from .polynomials import MultivariatePolynomial
 
 
 @dataclass(frozen=True)
@@ -173,15 +177,19 @@ def _partition_products(n: int, factor, one):
 
 @lru_cache(maxsize=None)
 def _weight_table(n: int):
-    """Map each partition lambda of n to the coefficients (chi_0, ..., chi_n)
-    of W_lambda(y) = (1+y)^n prod_m s_m(y)^{k_m} / k_m!, where k_m counts
-    the parts m and s_m = t_m + [x^m] log(1 + y e^{-x}).
+    """The weights W_lambda(y) = (1+y)^n prod_m s_m(y)^{k_m} / k_m! of the
+    partitions lambda of n in the (y+1)-basis, as ``(D, table)``: ``table``
+    maps each lambda to the integers N_lambda[0..n] with
+    W_lambda = sum_j N_lambda[j] / D * (y+1)^j, over one denominator D for
+    the whole dimension.  Here k_m counts the parts m and
+    s_m = t_m + [x^m] log(1 + y e^{-x}).
 
     As sum_m m k_m = n, W_lambda = prod_m r_m^{k_m} / k_m! with
     r_m = (1+y)^m s_m.  Since 1 + y e^{-x} = (1+y)(1 - y u / (1+y)) with
     u = 1 - e^{-x}, r_m(y) = t_m (1+y)^m - sum_k [x^m] u^k / k * y^k (1+y)^{m-k}
-    is a polynomial of degree <= m in y.  The products are formed on integer
-    numerators over one denominator per partition.
+    is a polynomial of degree <= m in y.  Each r_m is moved to the
+    (y+1)-basis once, the products are formed on integer numerators over one
+    denominator per partition, and these are brought over their lcm D.
     """
     t = _todd_log_coefficients(n)
     r = [[t[0]]]
@@ -195,6 +203,14 @@ def _weight_table(n: int):
         r.append(
             [t[m] * math.comb(m, q) - Fraction(tail[q], math.factorial(m)) for q in range(m + 1)]
         )
+    # to the (y+1)-basis, as y^q = sum_j C(q, j) (-1)^(q-j) (y+1)^j
+    r = [
+        [
+            sum((-1) ** (q - j) * math.comb(q, j) * row[q] for q in range(j, len(row)))
+            for j in range(len(row))
+        ]
+        for row in r
+    ]
     scale = [math.lcm(*(c.denominator for c in row)) for row in r]
     numerators = [[int(c * d) for c in row] for row, d in zip(r, scale)]
 
@@ -206,27 +222,51 @@ def _weight_table(n: int):
                 out[i + j] += a * b
         return out, den * scale[m]
 
-    table = {}
+    products = {}
     for parts, (coefficients, den) in _partition_products(n, factor, ([1], 1)):
         for m in set(parts):
             den *= math.factorial(parts.count(m))
-        table[parts] = tuple(Fraction(c, den) for c in coefficients)
-    return MappingProxyType(table)
+        g = math.gcd(den, *coefficients)
+        products[parts] = ([c // g for c in coefficients], den // g)
+    denominator = math.lcm(*(den for _, den in products.values()))
+    table = {
+        parts: tuple(c * (denominator // den) for c in coefficients)
+        for parts, (coefficients, den) in products.items()
+    }
+    return denominator, MappingProxyType(table)
+
+
+def minus_one_coefficients(c: ChernVector, indices) -> dict:
+    """The coefficients a_j of chi_y = sum_j a_j (y+1)^j for each j in
+    ``indices``, each in 0..n: a_j = sum_lambda N_lambda[j] p_lambda / D over
+    the cached weight table and the power-sum Chern numbers p_lambda of
+    ``c``, folded in place on integer numerators.  Rational Chern data give
+    ``Fraction`` values, polynomial data polynomials over the same variables."""
+    n = c.n
+    indices = tuple(indices)
+    if not all(0 <= j <= n for j in indices):
+        raise ValueError(f"coefficient indices must lie in 0..{n}, got {indices}")
+    p = chern_to_power_sums(c)
+    denominator, weights = _weight_table(n)
+
+    def rows():
+        for parts, p_lambda in _partition_products(n, lambda acc, m: acc * p[m - 1], 1):
+            w = weights[parts]
+            yield [w[j] for j in indices], p_lambda
+
+    polynomial = next((e for e in c.entries if isinstance(e, MultivariatePolynomial)), None)
+    variables = polynomial.variables if polynomial is not None else ()
+    a = MultivariatePolynomial.linear_combinations(variables, rows(), denominator)
+    if polynomial is None:
+        a = [value.constant_value() for value in a]
+    return dict(zip(indices, a))
 
 
 def chi_y_from_chern(c: ChernVector) -> ChiYPolynomial:
-    """chi_p via Hirzebruch-Riemann-Roch for every p at once: the cached
-    weights of each partition lambda of n times the power-sum Chern number
-    p_lambda of ``c``, summed."""
-    n = c.n
-    p = chern_to_power_sums(c)
-    table = _weight_table(n)
-    chi = [0] * (n + 1)
-    for parts, p_lambda in _partition_products(n, lambda acc, m: acc * p[m - 1], 1):
-        for i, w in enumerate(table[parts]):
-            if w:
-                chi[i] = chi[i] + p_lambda * w
-    return ChiYPolynomial(tuple(chi))
+    """chi_p via Hirzebruch-Riemann-Roch for every p at once: every a_j of
+    :func:`minus_one_coefficients`, moved back to powers of y."""
+    a = minus_one_coefficients(c, range(c.n + 1))
+    return MinusOneExpansion(tuple(a.values())).reconstruct()
 
 
 def chi_y_from_hodge(h: HodgeDiamond) -> ChiYPolynomial:

@@ -187,6 +187,44 @@ class MultivariatePolynomial:
                 den //= g
         return cls._raw(variables, nums, den)
 
+    @classmethod
+    def linear_combinations(
+        cls, variables: Sequence[str], rows: Iterable, denominator: int = 1
+    ) -> tuple["MultivariatePolynomial", ...]:
+        """The polynomials sum_r w_r[j] * value_r / ``denominator``, one per
+        position j of the integer weight tuples, over the ``(w_r, value_r)``
+        pairs of ``rows``.  A value is a polynomial over ``variables`` or an
+        exact rational of any denominator.  The rows are consumed one at a
+        time and folded in place into one numerator map per output, over the
+        common denominator of the values seen so far, and each output is
+        reduced by its content once at the end."""
+        if not isinstance(denominator, int) or denominator < 1:
+            raise ValueError(f"denominator must be a positive integer, got {denominator!r}")
+        variables = tuple(variables)
+        accs: list[dict[int, int]] = []
+        den = 1
+        for weights, value in rows:
+            if isinstance(value, MultivariatePolynomial):
+                if value.variables != variables:
+                    raise ValueError(f"mixed variable contexts: {variables} vs {value.variables}")
+                nums, d = value._nums, value._den
+            else:
+                p, d = _ratio(value)
+                nums = {0: p} if p else {}
+            if not accs:
+                accs = [{} for _ in weights]
+            if den % d:
+                g = d // math.gcd(den, d)  # den * g is the new common denominator
+                for acc in accs:
+                    for k in acc:
+                        acc[k] *= g
+                den *= g
+            scale = den // d
+            for acc, w in zip(accs, weights):
+                if w:
+                    _accumulate(acc, nums, w * scale)
+        return tuple(cls._reduced(variables, acc, den * denominator) for acc in accs)
+
     # ------------------------------------------------------------------
     # the exact integer form
 

@@ -23,10 +23,13 @@ equations, cleared of denominators, have no common zero; an integer solution
 would reduce to one modulo every q.  The residue search runs after the root
 analysis and before enumeration, when its worst case, the sum of q^k over the
 moduli for k free variables, is at most both the enumeration's driver count
-and the scan budget, for at most 20 free variables: it compiles one function
-per system, one loop over the residues per free variable, with the modulus as
-its argument.  Replay rebuilds the residual system from the recorded
-substitutions and runs the same search for the recorded modulus.
+and the scan budget, for at most 20 free variables.  When that worst case is
+within the budget but above the driver count, the search runs after an
+enumeration whose box held no solution instead, so a small box does not hide
+a global certificate.  It compiles one function per system, one loop over the
+residues per free variable, with the modulus as its argument.  Replay
+rebuilds the residual system from the recorded substitutions and runs the
+same search for the recorded modulus.
 
 Bounded enumeration compiles, per call, one Python function that walks the
 box: a loop over the inner driver variable nested in one over the outer
@@ -657,6 +660,7 @@ def _scan_source(polys, variables, solved) -> str:
 #: theorem a system with a zero modulo each of them has one modulo every
 #: m <= 16, so no other modulus in that range can add an obstruction.
 _LOCAL_MODULI = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+_NO_OBSTRUCTION = "no local obstruction modulo " + ", ".join(map(str, _LOCAL_MODULI))
 
 
 #: The residue search nests one loop per free variable, and Python 3.10-3.12
@@ -1153,25 +1157,38 @@ def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) 
         bounds.update(_default_bounds(system, missing))
     bounds = {name: bounds[name] for name in free}
 
-    # the residue search goes first when it costs no more than the box scan
+    # the residue search goes first when it costs no more than the box scan,
+    # and after it when the box holds no solution and the budget allows it
     polys = [res.polynomial for res in residual]
     solved, scan = _scan_plan(polys, bounds, free)
     residue_note: tuple[str, ...] = ()
     cost = sum(q ** len(free) for q in _LOCAL_MODULI)
-    if len(free) <= _MAX_RESIDUE_VARIABLES and cost <= min(scan, config.max_scan):
+    searchable = len(free) <= _MAX_RESIDUE_VARIABLES and cost <= config.max_scan
+
+    def residue_verdict(visited: int = 0) -> Optional[SearchReport]:
         modulus = _local_obstruction(polys, free, _LOCAL_MODULI)
-        if modulus is not None:
-            certificate = {
-                "kind": "local_obstruction",
-                "modulus": modulus,
-                "substitutions": [s.to_json_dict() for s in reduced.substitutions],
-            }
-            return finish(
-                SearchReport(
-                    VERDICT_NO_SOLUTION, system.variables, certificate=certificate, notes=notes
-                )
+        if modulus is None:
+            return None
+        certificate = {
+            "kind": "local_obstruction",
+            "modulus": modulus,
+            "substitutions": [s.to_json_dict() for s in reduced.substitutions],
+        }
+        return finish(
+            SearchReport(
+                VERDICT_NO_SOLUTION,
+                system.variables,
+                certificate=certificate,
+                visited=visited,
+                notes=notes,
             )
-        residue_note = ("no local obstruction modulo " + ", ".join(map(str, _LOCAL_MODULI)),)
+        )
+
+    if searchable and cost <= scan:
+        report = residue_verdict()
+        if report is not None:
+            return report
+        residue_note = (_NO_OBSTRUCTION,)
 
     try:
         outcome = bounded_enumerate(
@@ -1199,6 +1216,11 @@ def solve_system(system: EquationSystem, config: Optional[SolverConfig] = None) 
                 notes=notes,
             )
         )
+    if searchable and not residue_note:
+        report = residue_verdict(outcome.visited)
+        if report is not None:
+            return report
+        residue_note = (_NO_OBSTRUCTION,)
     return finish(
         SearchReport(
             VERDICT_INCONCLUSIVE,

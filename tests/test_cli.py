@@ -241,7 +241,7 @@ def test_classify_custom_bounds_echoed(capsys):
     code, out, _ = run(
         capsys,
         "classify", "--n", "7", "--branch", "half",
-        "--bounds", "c2=0:5,c3=0:5,c4=0:5",
+        "--bounds", "c2=0:5,c3=0:5,c4=0:5", "--max-scan", "1000",
     )
     assert code == EXIT_INCONCLUSIVE  # a tiny box proves nothing
     payload = json.loads(out)
@@ -249,8 +249,29 @@ def test_classify_custom_bounds_echoed(capsys):
         "c2": ["0", "5"], "c3": ["0", "5"], "c4": ["0", "5"]
     }
     assert payload["solutions"] == []
-    # 36 driver points cost less than the residue search, which does not run
+    # 36 driver points cost less than the residue search (9,432 residue
+    # points), and the budget of 1,000 keeps it from running after the box
     assert payload["notes"] == ["box exhausted without integer solutions"]
+
+
+@pytest.mark.parametrize("bounds, visited", [
+    ("c2=0:1", "6"),
+    ("c2=0:5,c3=0:5,c4=0:5", "0"),
+])
+def test_classify_empty_box_falls_through_to_the_residue_search(capsys, bounds, visited):
+    # the box is cheaper than the residue search, so the scan runs first; when
+    # it finds nothing the search still certifies that no solution exists
+    code, out, _ = run(
+        capsys, "classify", "--n", "7", "--branch", "half", "--bounds", bounds,
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    jsonschema.validate(payload, REPORT_SCHEMA)
+    assert payload["verdict"] == "no_integer_solution"
+    assert payload["certificate"]["kind"] == "local_obstruction"
+    assert payload["certificate"]["modulus"] == 9
+    assert payload["visited"] == visited
+    assert payload["notes"] == []
 
 
 def test_classify_n7_half_is_decided(capsys):

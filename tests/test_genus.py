@@ -12,7 +12,7 @@ from chiy.chern import (
     projective_space,
     todd_class,
 )
-from chiy.fujita import Branch, adjunction_chern, unknown_chern_vector
+from chiy.fujita import Branch, adjunction_chern, generate_system, unknown_chern_vector
 from chiy.genus import (
     ChiYPolynomial,
     HodgeDiamond,
@@ -22,6 +22,7 @@ from chiy.genus import (
     chi_y_from_chern,
     chi_y_from_hodge,
     expand_at_minus_one,
+    minus_one_coefficients,
     pinned_products,
 )
 from chiy.polynomials import MultivariatePolynomial
@@ -326,18 +327,59 @@ def test_weight_table_matches_newton_recurrence_on_random_rational_vectors():
             assert chi == _newton_chi_p(c), (n, c)
 
 
-@pytest.mark.parametrize(
-    "n, branch",
-    [(n, b) for n in range(3, 10) for b in Branch if b.valid_for(n)],
-    ids=lambda value: getattr(value, "value", value),
-)
-def test_weight_table_matches_newton_recurrence_on_generated_systems(n, branch):
-    # the symbolic M and D vectors that generate_system equates
+_GENERATED = [(n, b) for n in range(3, 10) for b in Branch if b.valid_for(n)]
+
+
+@lru_cache(maxsize=None)
+def _generated_oracles(n, branch):
+    """The symbolic M and D vectors that generate_system equates, each with
+    its chi_p by the Newton recurrence."""
     chern_m, _ = unknown_chern_vector(n, branch)
-    for c in (chern_m, adjunction_chern(chern_m)):
+    return tuple((c, _newton_chi_p(c)) for c in (chern_m, adjunction_chern(chern_m)))
+
+
+@pytest.mark.parametrize("n, branch", _GENERATED, ids=lambda value: getattr(value, "value", value))
+def test_weight_table_matches_newton_recurrence_on_generated_systems(n, branch):
+    for c, oracle in _generated_oracles(n, branch):
         chi = chi_y_from_chern(c).chi_p
         assert all(isinstance(value, MultivariatePolynomial) for value in chi)
-        assert chi == _newton_chi_p(c), (n, branch, c.n)
+        assert chi == oracle, (n, branch, c.n)
+
+
+@pytest.mark.parametrize("n, branch", _GENERATED, ids=lambda value: getattr(value, "value", value))
+def test_even_coefficients_match_newton_recurrence_on_generated_systems(n, branch):
+    # generate_system reads a_2, a_4, ... of M and a_0, a_2, ... of D, and
+    # equates each with its P^n value a_j = (-1)^j C(n+1, j+1)
+    (chern_m, oracle_m), (chern_d, oracle_d) = _generated_oracles(n, branch)
+    read = {}
+    for name, c, oracle, first in (("M", chern_m, oracle_m, 2), ("D", chern_d, oracle_d, 0)):
+        expected = expand_at_minus_one(ChiYPolynomial(oracle)).coefficients
+        wanted = range(first, c.n + 1, 2)
+        a = minus_one_coefficients(c, wanted)
+        assert list(a) == list(wanted)
+        for j, value in a.items():
+            assert isinstance(value, MultivariatePolynomial)
+            assert value == expected[j], (n, branch, name, j)
+            read[f"A_{j // 2}({name})"] = value - math.comb(c.n + 1, j + 1)
+    for eq in generate_system(n, branch).equations:
+        if eq.provenance != "alternating_sum(M)":
+            assert eq.polynomial == read.pop(eq.provenance), eq.provenance
+    assert not any(read.values())  # only identically zero equations are dropped
+
+
+def test_even_coefficients_match_newton_recurrence_on_fractional_polynomials():
+    # coefficients with denominators other than 1, and a rational entry whose
+    # power sums mix with polynomial ones
+    s, t = MultivariatePolynomial.generators(("s", "t"))
+    c = ChernVector(
+        [Fraction(1, 2), s / 3 + 1, Fraction(5, 7) * s * t - t / 2, s * s / 4, t - Fraction(2, 9)]
+    )
+    oracle = _newton_chi_p(c)
+    expected = expand_at_minus_one(ChiYPolynomial(oracle)).coefficients
+    a = minus_one_coefficients(c, range(0, 6, 2))
+    assert a == {j: expected[j] for j in (0, 2, 4)}
+    assert any(value.denominator != 1 for value in a.values())
+    assert chi_y_from_chern(c).chi_p == oracle
 
 
 @lru_cache(maxsize=None)
@@ -356,8 +398,15 @@ def test_weight_table_is_keyed_by_the_partitions_of_n():
     counts = []
     for n in range(1, 16):
         table = _weight_table(n)
-        assert set(table) == _partitions(n)
-        assert all(type(weights) is tuple and len(weights) == n + 1 for weights in table.values())
+        denominator, weights = table
+        assert set(weights) == _partitions(n)
+        assert all(
+            type(w) is tuple and len(w) == n + 1 and all(type(x) is int for x in w)
+            for w in weights.values()
+        )
+        # one denominator for the whole dimension, sharing no factor with all numerators
+        assert type(denominator) is int and denominator >= 1
+        assert math.gcd(denominator, *(x for w in weights.values() for x in w)) == 1
         assert _weight_table(n) is table  # built once per dimension
-        counts.append(len(table))
+        counts.append(len(weights))
     assert counts == [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176]

@@ -1,7 +1,7 @@
 """Byte-identity gate: the CLI reports must not change under a refactor.
 
 The digests are SHA-256 of the exact stdout of ``chiy system --n N --branch B``
-for n = 3..13 on every valid branch, and of ``chiy classify --n N --branch B``
+for n = 3..15 on every valid branch, and of ``chiy classify --n N --branch B``
 for n = 3, 5, 7 on both branches and n = 9 on the half branch.  They were first
 recorded before the integer-numerator polynomial kernel replaced the
 ``Fraction`` one, and
@@ -22,6 +22,9 @@ The n = 9 half report, decided by a ``local_obstruction`` certificate modulo
 13 and the only shipped verdict whose residue search runs over five free
 variables, joined as recorded before that search was compiled into one
 function per system; its bytes did not change with that.
+The n = 14 standard, n = 15 standard and n = 15 half systems joined as
+recorded before the chi_y weights were tabulated in the (y+1)-basis and only
+the even coefficients were accumulated; their bytes did not change with that.
 A change that is meant to alter these reports regenerates the digests
 and says why.
 """
@@ -52,6 +55,9 @@ SYSTEM_DIGESTS = {
     (12, "standard"): "f1aa95dcef4f3f4a21076e590968f724a14eb0f2c27aa8e37544a406b1ed19d8",
     (13, "standard"): "111637f3344aac1c0136f75b5441fe05d450281ff4f5c2d365e8afbb4a55fc1e",
     (13, "half"): "d001ea3fb8846797201ace72fb18bec6c4358495aaffc1bcb2149303650b8de9",
+    (14, "standard"): "c6d697ab0c9ad6db637ccb1f7370996816130d2625686d2e4389bd00c2dfd1a5",
+    (15, "standard"): "eb485011ab413a86d8d1bd8a9c780c1226252cbca49baeda8b5381707e02300d",
+    (15, "half"): "6d2c81b150d02e861a8015a4c506c1e5327368377e24c42a91dcb0eafb0aafc9",
 }
 
 CLASSIFY_DIGESTS = {

@@ -77,6 +77,39 @@ def test_ring_axioms(a, b, c):
     assert a - a == 0
 
 
+values = st.one_of(polys, coeffs, st.integers(-20, 20))
+weights = st.tuples(*(st.integers(-9, 9) for _ in range(3)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.tuples(weights, values), max_size=6), st.integers(1, 30))
+def test_linear_combinations_agree_with_ring_arithmetic(rows, denominator):
+    combined = MultivariatePolynomial.linear_combinations(VARS, rows, denominator)
+    if not rows:
+        assert combined == ()
+        return
+    for j, value in enumerate(combined):
+        expected = MultivariatePolynomial.zero(VARS)
+        for w, v in rows:
+            expected = expected + w[j] * v
+        assert value == expected / denominator
+
+
+def test_linear_combinations_reduce_cancellations():
+    half = P(c2=Fraction(1, 2))
+    a, b = MultivariatePolynomial.linear_combinations(
+        VARS, [((2, 1), half), ((-1, 3), gen("c2")), ((0, 1), Fraction(1, 3))], 6
+    )
+    assert a == 0
+    assert b == (P(c2=Fraction(7, 2)) + Fraction(1, 3)) / 6
+    with pytest.raises(ValueError):
+        MultivariatePolynomial.linear_combinations(
+            VARS, [((1,), MultivariatePolynomial.variable("c2", ("c2",)))]
+        )
+    with pytest.raises(ValueError):
+        MultivariatePolynomial.linear_combinations(VARS, [((1,), half)], 0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(polys, st.integers(0, 4))
 def test_power_is_repeated_multiplication(a, k):

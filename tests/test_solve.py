@@ -838,10 +838,16 @@ def test_local_obstruction_on_a_small_system():
     assert wide.certificate == {"kind": "local_obstruction", "modulus": 4, "substitutions": []}
     assert verify_certificate(system, wide.certificate)
     # a box of fewer than 2^2 + 3^2 + ... + 16^2 = 794 driver points is
-    # scanned instead, and proves nothing
-    narrow = solve_system(system, SolverConfig(bounds={"x": (-5, 5), "y": (-5, 5)}))
-    assert narrow.verdict == VERDICT_INCONCLUSIVE
-    assert narrow.notes == ("box exhausted without integer solutions",)
+    # scanned first; once it is exhausted the search runs, within the budget
+    bounds = {"x": (-5, 5), "y": (-5, 5)}
+    narrow = solve_system(system, SolverConfig(bounds=bounds))
+    assert narrow.verdict == VERDICT_NO_SOLUTION
+    assert narrow.certificate == wide.certificate
+    assert narrow.bounds is None and narrow.notes == ()
+    # a budget below 794 skips it, and the box proves nothing
+    capped = solve_system(system, SolverConfig(bounds=bounds, max_scan=793))
+    assert capped.verdict == VERDICT_INCONCLUSIVE
+    assert capped.notes == ("box exhausted without integer solutions",)
 
 
 def test_no_local_obstruction_is_noted_only_when_inconclusive():

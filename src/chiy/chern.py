@@ -9,8 +9,13 @@ scalar multiplying x^k.
 Newton's identities convert between Chern entries (elementary symmetric
 functions of the formal roots) and power sums.  From power sums one obtains
 the Todd class exp(sum t_m p_m x^m), where the t_m are the coefficients of
-log(x / (1 - e^{-x})).  Everything is exact and works unchanged for rational
-or polynomial scalars.
+log(x / (1 - e^{-x})).  They have a closed form in the Bernoulli numbers of
+x/(e^x - 1) = sum_m B_m x^m / m!: t_0 = 0 and t_m = -B_m / (m m!) for m >= 1.
+For the derivative of that logarithm is
+1/x - 1/(e^x - 1) = (1 - x/(e^x - 1)) / x = -sum_{m>=1} B_m x^{m-1} / m!,
+and the logarithm vanishes at x = 0.  Everything is exact and works unchanged
+for rational or polynomial scalars; any other scalar, a float included, is a
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -97,13 +102,10 @@ def power_sums_to_elementary(power_sums, rank: int) -> list:
 
 @lru_cache(maxsize=None)
 def _todd_log_coefficients(order: int) -> tuple[Fraction, ...]:
-    # Coefficients t_m of log(x / (1 - e^{-x})); the series itself is
-    # sum (-1)^m B_m x^m / m!.
-    q = TruncatedSeries(
-        order,
-        [(-1) ** m * bernoulli(m) / math.factorial(m) for m in range(order + 1)],
+    # t_0 = 0 and t_m = -B_m / (m m!), the coefficients of log(x / (1 - e^{-x}))
+    return (Fraction(0),) + tuple(
+        -bernoulli(m) / (m * math.factorial(m)) for m in range(1, order + 1)
     )
-    return q.log().coefficients
 
 
 def todd_class(c: ChernVector) -> TruncatedSeries:

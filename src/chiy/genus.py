@@ -87,12 +87,20 @@ class MinusOneExpansion:
 
     def reconstruct(self) -> ChiYPolynomial:
         """Invert the change of basis back to powers of y."""
-        n = self.n
-        chi = [Fraction(0)] * (n + 1)
-        for j, a in enumerate(self.coefficients):
-            for p in range(j + 1):
-                chi[p] = chi[p] + a * math.comb(j, p)
-        return ChiYPolynomial(tuple(chi))
+        return ChiYPolynomial(_shift(self.coefficients, 1))
+
+
+def _shift(coefficients, sign):
+    """The coefficients of f(y + sign) from those f_i of f(y) = sum_i f_i y^i:
+    by the binomial theorem, [y^j] f(y + sign) = sum_{i>=j} C(i, j) sign^(i-j) f_i."""
+    n = len(coefficients) - 1
+    return tuple(
+        sum(
+            (math.comb(i, j) * sign ** (i - j) * coefficients[i] for i in range(j + 1, n + 1)),
+            coefficients[j],
+        )
+        for j in range(n + 1)
+    )
 
 
 class HodgeDiamond:
@@ -185,34 +193,25 @@ def _weight_table(n: int):
     s_m = t_m + [x^m] log(1 + y e^{-x}).
 
     As sum_m m k_m = n, W_lambda = prod_m r_m^{k_m} / k_m! with
-    r_m = (1+y)^m s_m.  Since 1 + y e^{-x} = (1+y)(1 - y u / (1+y)) with
-    u = 1 - e^{-x}, r_m(y) = t_m (1+y)^m - sum_k [x^m] u^k / k * y^k (1+y)^{m-k}
-    is a polynomial of degree <= m in y.  Each r_m is moved to the
-    (y+1)-basis once, the products are formed on integer numerators over one
-    denominator per partition, and these are brought over their lcm D.
+    r_m = (1+y)^m s_m, written in z = y+1 straight away.  For
+    1 + y e^{-x} = z e^{-x} (1 + (e^x - 1)/z), and (e^x - 1)^k / k! =
+    sum_m S(m, k) x^m / m! with S the Stirling numbers of the second kind, so
+    m! r_m(z) = m! (t_m - [m = 1]) z^m
+                + sum_{k=1}^{m} (-1)^{k-1} (k-1)! S(m, k) z^{m-k}.
+    These integer rows over m! times the denominator of t_m - [m = 1] are
+    multiplied out per partition, each product is brought to lowest terms,
+    and all are put over their lcm D.
     """
     t = _todd_log_coefficients(n)
-    r = [[t[0]]]
-    stirling = [1]  # S(m, k) for k = 0..m, Stirling numbers of the second kind
+    numerators, scale = [None], [None]  # indexed by the part m >= 1
+    stirling = [1]  # S(m, k) for k = 0..m
     for m in range(1, n + 1):
         stirling = [k * a + b for k, a, b in zip(range(m + 1), stirling + [0], [0] + stirling)]
-        # w[k] = m! [x^m] u^k / k, as u^k / k! = sum_m (-1)^(m-k) S(m, k) x^m / m!
-        w = [0] + [(-1) ** (m - k) * math.factorial(k - 1) * stirling[k] for k in range(1, m + 1)]
-        # m! times the y^q coefficient of sum_k [x^m] u^k / k * y^k (1+y)^{m-k}
-        tail = [sum(w[k] * math.comb(m - k, q - k) for k in range(q + 1)) for q in range(m + 1)]
-        r.append(
-            [t[m] * math.comb(m, q) - Fraction(tail[q], math.factorial(m)) for q in range(m + 1)]
-        )
-    # to the (y+1)-basis, as y^q = sum_j C(q, j) (-1)^(q-j) (y+1)^j
-    r = [
-        [
-            sum((-1) ** (q - j) * math.comb(q, j) * row[q] for q in range(j, len(row)))
-            for j in range(len(row))
-        ]
-        for row in r
-    ]
-    scale = [math.lcm(*(c.denominator for c in row)) for row in r]
-    numerators = [[int(c * d) for c in row] for row, d in zip(r, scale)]
+        top = math.factorial(m) * (t[m] - (m == 1))  # [z^m] m! r_m
+        d = top.denominator
+        low = [(-1) ** (k - 1) * math.factorial(k - 1) * stirling[k] * d for k in range(m, 0, -1)]
+        numerators.append(low + [top.numerator])
+        scale.append(math.factorial(m) * d)
 
     def factor(product, m):
         coefficients, den = product
@@ -281,18 +280,8 @@ def chi_y_from_hodge(h: HodgeDiamond) -> ChiYPolynomial:
 
 
 def expand_at_minus_one(chi: ChiYPolynomial) -> MinusOneExpansion:
-    """Exact change of basis y^p = sum_j C(p, j) (y+1)^j (-1)^{p-j}."""
-    n = chi.n
-    out = []
-    for j in range(n + 1):
-        acc = None
-        for p in range(j, n + 1):
-            term = math.comb(p, j) * chi.chi_p[p]
-            if (p - j) % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return MinusOneExpansion(tuple(out))
+    """Exact change of basis to powers of y+1: a_j = [z^j] chi_y(z - 1)."""
+    return MinusOneExpansion(_shift(chi.chi_p, -1))
 
 
 def a1_closed_form(c: ChernVector):

@@ -4,21 +4,27 @@ Every series carries an explicit truncation order: a ``TruncatedSeries`` of
 order N stores the N+1 coefficients of 1, x, ..., x^N and silently discards
 everything above.  Mixing orders is an error, never an implicit coercion.
 
-Coefficients may live in any exact commutative ring that supports ``+``,
-``*``, unary ``-``, ``==`` against 0 and 1, and division by a nonzero
-rational scalar.  Two rings are used throughout this package: plain
+Coefficients live in one of two exact commutative rings: plain
 ``fractions.Fraction`` (integers are coerced on input) and
-``chiy.polynomials.MultivariatePolynomial``.  Nothing here depends on which
-one is in play, so numeric and symbolic computations share one code path.
+``chiy.polynomials.MultivariatePolynomial``.  Any other scalar, a float
+included, is a ``TypeError``, as in the polynomial kernel.  Nothing else here
+depends on which ring is in play, so numeric and symbolic computations share
+one code path.  Beyond the ring operations a series has only ``exp``: the one
+logarithm the package needs, that of the Todd series, has a closed form (see
+``chiy.chern``).
 
-The Bernoulli convention is the one attached to x/(e^x - 1), i.e.
-B_1 = -1/2.  All objects are immutable.
+The Bernoulli numbers are those of x/(e^x - 1) = sum_m B_m x^m / m!, so
+B_1 = -1/2.  The recurrence of :func:`bernoulli` is the coefficient of x^m,
+m >= 1, in (e^x - 1)/x * x/(e^x - 1) = 1, which reads
+sum_{j=0}^{m} C(m+1, j) B_j / (m+1)! = 0.  All objects are immutable.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .polynomials import MultivariatePolynomial, _as_fraction
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]
 
@@ -38,28 +44,15 @@ def bernoulli(m: int) -> Fraction:
 
 
 def _coerce_scalar(value):
-    return Fraction(value) if isinstance(value, int) else value
-
-
-def _invert_constant(value) -> Fraction:
-    """Invert a unit constant term.  For polynomial coefficients the constant
-    must itself be a rational constant."""
-    if isinstance(value, int):
-        value = Fraction(value)
-    if not isinstance(value, Fraction):
-        constant_value = getattr(value, "constant_value", None)
-        if constant_value is None:
-            raise ValueError(f"cannot invert constant term {value!r}")
-        value = constant_value()
-    if value == 0:
-        raise ValueError("constant term is zero, series is not invertible")
-    return Fraction(1) / value
+    """An exact ring scalar: a polynomial as it is, an int or a ``Fraction``
+    as a ``Fraction``; anything else (a float, say) is a ``TypeError``."""
+    return value if isinstance(value, MultivariatePolynomial) else _as_fraction(value)
 
 
 class TruncatedSeries:
     """A power series truncated above a fixed degree.
 
-    >>> x = TruncatedSeries.monomial(3, 1)
+    >>> x = TruncatedSeries(3, [0, 1, 0, 0])
     >>> (x.exp() * (-x).exp()).coefficients
     (Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), Fraction(0, 1))
     """
@@ -81,20 +74,8 @@ class TruncatedSeries:
         raise AttributeError("TruncatedSeries is immutable")
 
     @classmethod
-    def zero(cls, order: int):
-        return cls(order, (Fraction(0),) * (order + 1))
-
-    @classmethod
     def one(cls, order: int):
         return cls(order, (Fraction(1),) + (Fraction(0),) * order)
-
-    @classmethod
-    def monomial(cls, order: int, degree: int, coefficient=1):
-        if not 0 <= degree <= order:
-            raise ValueError("monomial degree outside truncation order")
-        coeffs = [Fraction(0)] * (order + 1)
-        coeffs[degree] = coefficient
-        return cls(order, coeffs)
 
     @property
     def constant_term(self):
@@ -143,8 +124,7 @@ class TruncatedSeries:
     def __truediv__(self, scalar):
         if isinstance(scalar, TruncatedSeries):
             return NotImplemented
-        if isinstance(scalar, int):
-            scalar = Fraction(scalar)
+        scalar = _coerce_scalar(scalar)
         return self._wrap(c / scalar for c in self.coefficients)
 
     def __eq__(self, other):
@@ -160,37 +140,11 @@ class TruncatedSeries:
         """exp of a series with zero constant term."""
         if not self.constant_term == 0:
             raise ValueError("exp needs a zero constant term")
-        result = self.one(self.order)
-        term = self.one(self.order)
+        result = term = self.one(self.order)
         for k in range(1, self.order + 1):
             term = (term * self) / k
             result = result + term
-        return self._wrap(result.coefficients)
-
-    def log(self):
-        """log of a series with constant term one."""
-        if not self.constant_term == 1:
-            raise ValueError("log needs constant term one")
-        u = self - self.one(self.order)
-        result = self.zero(self.order)
-        power = self.one(self.order)
-        for k in range(1, self.order + 1):
-            power = power * u
-            sign = Fraction(1, k) if k % 2 else Fraction(-1, k)
-            result = result + power * sign
-        return self._wrap(result.coefficients)
-
-    def inverse(self):
-        """Multiplicative inverse; the constant term must be a nonzero rational."""
-        lead = _invert_constant(self.constant_term)
-        a = self.coefficients
-        out = [lead * Fraction(1)]
-        for k in range(1, self.order + 1):
-            acc = a[1] * out[k - 1]
-            for j in range(2, k + 1):
-                acc = acc + a[j] * out[k - j]
-            out.append(-lead * acc)
-        return self._wrap(out)
+        return result
 
     def __repr__(self):
         return f"TruncatedSeries(order={self.order}, {list(self.coefficients)!r})"

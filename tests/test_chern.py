@@ -6,6 +6,7 @@ import pytest
 
 from chiy.chern import (
     ChernVector,
+    _todd_log_coefficients,
     chern_to_power_sums,
     power_sums_to_elementary,
     projective_space,
@@ -23,6 +24,12 @@ def test_chern_vector_basics():
     assert c.scalar(2) == 3
     with pytest.raises(ValueError):
         c.scalar(3)
+
+
+def test_chern_vector_rejects_inexact_scalars():
+    # a float would turn the Todd class and A_1 into floats
+    with pytest.raises(TypeError, match="expected an exact rational, got float"):
+        ChernVector([1.5, 2.0])
 
 
 def test_projective_space_chern_is_binomial():
@@ -75,6 +82,17 @@ def test_todd_of_p1_and_p2():
 
     td2 = todd_class(projective_space(2))
     assert td2.coefficients == (Fraction(1), Fraction(3, 2), Fraction(1))
+
+
+def test_todd_log_coefficients_against_the_todd_series():
+    # exp(sum t_m x^m) = x / (1 - e^{-x}) and (1 - e^{-x}) / x =
+    # sum (-1)^k x^k / (k+1)!, so their product is 1; no Bernoulli number used
+    order = 24
+    todd = TruncatedSeries(order, _todd_log_coefficients(order)).exp()
+    one_minus_exp_over_x = TruncatedSeries(
+        order, [Fraction((-1) ** k, math.factorial(k + 1)) for k in range(order + 1)]
+    )
+    assert todd * one_minus_exp_over_x == TruncatedSeries.one(order)
 
 
 def test_universal_todd_polynomials():

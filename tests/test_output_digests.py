@@ -25,6 +25,13 @@ function per system; its bytes did not change with that.
 The n = 14 standard, n = 15 standard and n = 15 half systems joined as
 recorded before the chi_y weights were tabulated in the (y+1)-basis and only
 the even coefficients were accumulated; their bytes did not change with that.
+The weight table digests (SHA-256 of the JSON list of the denominator of
+``genus._weight_table(n)`` and its ``[partition, numerators]`` rows in
+partition order, n = 1..20), the ``pn-verify --max-n 20`` report and the
+``genus --chern`` reports on 3,3 / 0,24 / 6,15,20,15,6 / 1/2,1/3 in text and
+json joined as recorded before the Todd coefficients and the weight rows were
+written in closed form and the two changes of basis became one shift; their
+bytes did not change with that.
 A change that is meant to alter these reports regenerates the digests
 and says why.
 """
@@ -32,10 +39,12 @@ and says why.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
 from chiy.cli import main
+from chiy.genus import _weight_table
 
 SYSTEM_DIGESTS = {
     (3, "standard"): "d487d582ac71517905a3cc2738059c7c44d008d1e941453ca703b18c2d041c42",
@@ -70,6 +79,42 @@ CLASSIFY_DIGESTS = {
     (9, "half"): "b95be29946a961fe564ae0972db32d25dd518eaf0d54d56739e817394ce083bb",
 }
 
+WEIGHT_TABLE_DIGESTS = {
+    1: "c0b4fba806443f6f73ba2dde0a34b912043ece6dd05b2360bf0d65e5a32c2353",
+    2: "11b68c3c0c9a0b4fc6b53b8decde7c0dfa327ff07948f4f4a41815016ec1d6a1",
+    3: "4feea3ed48a78712f921bbb7c6548f14736cf57104b9a0f8d9b31ba46f8b29a9",
+    4: "15b7196dabdce08ecf35c01d559900c6219037014c58ea866a242a327de0ac18",
+    5: "7248538cb43750d00d669fd07226b99005922ba01938b1caf9b1fde42657bfec",
+    6: "60015dc667ced6a7dd8a752124a84fc42bc851de2c01401ba0179f013b2ae210",
+    7: "fa423c6d9504b7cc2bce5fa5051dc11d1e4762a575dcd7fa3bb12c313d196708",
+    8: "a51dc3f8a152a89238bd2aef092a6666c98c0f79c8db0a329ee357973ecfb87e",
+    9: "2b690b0b1e2864a5fe5166dffaebd7d7c1804924f8cd8f54fb58b08cac88ad50",
+    10: "ef9b5d20b02606e5814dbd6cb850f2d6d712eda7dad3c965bf7866025c57e28f",
+    11: "352eb10c00f87810562fa66948fe52f231a1ccd23b2f6723b42c00736a60baf6",
+    12: "57b88d658135523815d7c8244bf66477d132e732b24b8e436bed2435530660e9",
+    13: "7dc87f98116d4e5bc1f8b9e3b19938c8ee8faff9346a902cf38c816ccb0d48aa",
+    14: "9e46781a699e1ee67508cc56278b9d0af11c95e20defba2af15aa2df7ab2204a",
+    15: "d6a4a6ddf98271a888620074fb4dca1407ca320adce5b8ed4313e2db6e535467",
+    16: "901cf8626e1fc6b6118691ba72c52c61af35c26b3fe6bbfce823a9ccbee6039c",
+    17: "327e4431a784ca38b8d90bc6c3c384a293a8bed979a8432b8087fd424cd42bb5",
+    18: "68697658d9817b91dd9216963ba5a264b0fc19470c900c3f4f33e532845f579a",
+    19: "d3689d5bbc3d364e8bacf472975633806ce8b118a08c9a9729c2d5920f08347b",
+    20: "ec45c1b6d489d29e8e0e580a5fec07b16816d868d59e3344a072e73a5d579d69",
+}
+
+PN_VERIFY_DIGEST = "a93abc55289a311e8541a75be39d8f6dd26f3bf42b8333d7707fbf36aefffc4c"
+
+GENUS_DIGESTS = {
+    ("3,3", "text"): "7d33aa71e1ebf298bb241bc70e49ef9b868a5562437f72922716ec1d78be0217",
+    ("3,3", "json"): "d0e85a169b1f4754bc118df2110e082d6694f71c80deb1e2ff7d4e3d58eb59d3",
+    ("0,24", "text"): "685eb8d013797835b26b76a3b30497f1ecd20175111cc3e5e8c1f8014024b10d",
+    ("0,24", "json"): "221331cf61c2cc614ab1259b40376ec26dd98dd4ef2335fed4fba0092c31991a",
+    ("6,15,20,15,6", "text"): "6a1a48ddaf0560757e48b8490df3a94ed6f8363cf4bfd02e3bcb5bb747a78c8d",
+    ("6,15,20,15,6", "json"): "1870c5e3196853101d214eb41909381066022ee96e9cd2eea19a0d504e43c129",
+    ("1/2,1/3", "text"): "d46b959aff4c278e1a6f2cf58d8f2f25e2f254ba187fef54ed7b3e87d662f36e",
+    ("1/2,1/3", "json"): "b8050cd204c605268dd4596affd7fec64d46d0cacabc92e8b0c1d3c5e7206bf1",
+}
+
 
 def _stdout_digest(*argv):
     out = io.StringIO()
@@ -89,3 +134,21 @@ def test_system_report_bytes(n, branch):
 def test_classify_report_bytes(n, branch):
     digest = _stdout_digest("classify", "--n", str(n), "--branch", branch)
     assert digest == CLASSIFY_DIGESTS[n, branch]
+
+
+@pytest.mark.parametrize("n", sorted(WEIGHT_TABLE_DIGESTS))
+def test_weight_table_bytes(n):
+    denominator, table = _weight_table(n)
+    rows = [[list(parts), list(numerators)] for parts, numerators in table.items()]
+    text = json.dumps([denominator, rows])
+    assert hashlib.sha256(text.encode()).hexdigest() == WEIGHT_TABLE_DIGESTS[n]
+
+
+def test_pn_verify_report_bytes():
+    assert _stdout_digest("pn-verify", "--max-n", "20") == PN_VERIFY_DIGEST
+
+
+@pytest.mark.parametrize("vector, fmt", sorted(GENUS_DIGESTS))
+def test_genus_report_bytes(vector, fmt):
+    digest = _stdout_digest("genus", "--chern", vector, "--format", fmt)
+    assert digest == GENUS_DIGESTS[vector, fmt]

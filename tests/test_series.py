@@ -31,14 +31,15 @@ def test_von_staudt_clausen_denominators():
 
 
 def test_bernoulli_via_generating_series():
-    # x/(e^x - 1) = sum B_m x^m / m!
+    # (e^x - 1)/x * x/(e^x - 1) = 1, with x/(e^x - 1) = sum B_m x^m / m!
     order = 12
     expm1_over_x = TruncatedSeries(
         order, [Fraction(1, _factorial(k + 1)) for k in range(order + 1)]
     )
-    series = expm1_over_x.inverse()
-    for m in range(order + 1):
-        assert series.coefficients[m] == bernoulli(m) / _factorial(m)
+    bernoulli_series = TruncatedSeries(
+        order, [bernoulli(m) / _factorial(m) for m in range(order + 1)]
+    )
+    assert expm1_over_x * bernoulli_series == TruncatedSeries.one(order)
 
 
 def _factorial(k):
@@ -70,7 +71,7 @@ def test_ring_axioms(triple):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a - a == TruncatedSeries.zero(a.order)
+    assert a - a == TruncatedSeries(a.order, [0] * (a.order + 1))
     assert a * TruncatedSeries.one(a.order) == a
 
 
@@ -93,16 +94,29 @@ def test_order_mismatch_rejected():
         a * b
 
 
+def test_inexact_scalars_rejected():
+    # only ints, Fractions and polynomials are ring scalars, as in the kernel
+    s = TruncatedSeries.one(2)
+    for build in (
+        lambda: TruncatedSeries(1, [1, 0.5]),
+        lambda: s * 0.5,
+        lambda: 0.5 * s,
+        lambda: s / 0.5,
+    ):
+        with pytest.raises(TypeError, match="expected an exact rational, got float"):
+            build()
+
+
 def test_truncation_degree():
-    x = TruncatedSeries.monomial(3, 1)
-    assert (x * x * x * x) == TruncatedSeries.zero(3)  # x^4 = 0 at order 3
+    x = TruncatedSeries(3, [0, 1, 0, 0])
+    assert (x * x * x * x) == TruncatedSeries(3, [0, 0, 0, 0])  # x^4 = 0 at order 3
 
 
-# -- exp / log / inverse ------------------------------------------------------
+# -- exp ----------------------------------------------------------------------
 
 
 def test_exp_of_monomial():
-    x = TruncatedSeries.monomial(4, 1)
+    x = TruncatedSeries(4, [0, 1, 0, 0, 0])
     e = x.exp()
     assert e.coefficients == (
         Fraction(1),
@@ -118,33 +132,7 @@ def test_exp_requires_zero_constant_term():
         TruncatedSeries.one(3).exp()
 
 
-def test_log_requires_unit_constant_term():
-    with pytest.raises(ValueError):
-        TruncatedSeries.monomial(3, 1).log()
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(1, 7).flatmap(series_of_order))
-def test_exp_log_round_trip(s):
-    u = TruncatedSeries(s.order, (0,) + s.coefficients[1:])  # kill constant term
-    assert u.exp().log() == u
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 7).flatmap(series_of_order))
-def test_inverse_round_trip(s):
-    one = TruncatedSeries.one(s.order)
-    unit = TruncatedSeries(s.order, (1,) + s.coefficients[1:])  # unit constant term
-    assert unit * unit.inverse() == one
-
-
 def test_exp_is_homomorphism_from_addition():
     a = TruncatedSeries(5, [0, 1, 2, Fraction(1, 3), 0, 1])
     b = TruncatedSeries(5, [0, -2, Fraction(5, 7), 0, 1, 4])
     assert (a + b).exp() == a.exp() * b.exp()
-
-
-def test_inverse_of_geometric_series():
-    # 1/(1 - x) = 1 + x + x^2 + ...
-    one_minus_x = TruncatedSeries(5, [1, -1, 0, 0, 0, 0])
-    assert one_minus_x.inverse().coefficients == (1, 1, 1, 1, 1, 1)
